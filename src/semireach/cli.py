@@ -22,22 +22,17 @@ from . import problems as P
 from .bridge import GEN_HARD_VARIANTS, gen_hard
 from .core import AffineMap, Mat2, UTMat, Vec2
 from .detpm1 import solve_detminus1, solve_detpm1
-from .machines import (Bca, Prm, PrmBudget, reach_bca, reach_prm,
-                       reduce_bca_to_arm)
+from .machines import (Bca, Prm, PrmBudget, poly_eval, reach_bca,
+                       reach_prm, reduce_bca_to_arm)
 from .mortality import solve_mortality
 from .oracle import oracle_solve, replay
 from .problems import Budget, ProblemInstance, Verdict
-from .utsolvers import (reduce_membership_to_scalar,
-                        solve_membership_nonzero_diag,
-                        solve_membership_one_zero, solve_vecreach_ut22)
+from .utsolvers import reduce_membership_to_scalar, solve_vecreach_ut22
 
 BCA_REACHABILITY = "bca-reachability"
 ARM_REACHABILITY = "arm-reachability"
 
 _INT_RE = re.compile(r"^-?(0|[1-9][0-9]*)$")
-
-SOLVER_NAMES = ("auto", "oracle", "detpm1", "detminus1", "utvec",
-                "utmember", "mortality", "machines")
 
 EXIT_BY_KIND = {"yes": 0, "no": 1, "unknown": 2}
 
@@ -197,23 +192,25 @@ def parse_instance(doc):
     if not isinstance(doc, dict) or "problem" not in doc:
         raise SchemaError("instance file needs a problem tag")
     p = doc["problem"]
-    if p in (BCA_REACHABILITY, ARM_REACHABILITY):
-        return MachineInstance(p, _dec_machine(doc.get("machine"), p),
-                               _dec_config(doc.get("x")),
-                               _dec_config(doc.get("y")))
+    try:
+        if p in (BCA_REACHABILITY, ARM_REACHABILITY):
+            return MachineInstance(p, _dec_machine(doc.get("machine"), p),
+                                   _dec_config(doc.get("x")),
+                                   _dec_config(doc.get("y")))
+        return _parse_fields(doc, p)
+    except KeyError as e:
+        raise SchemaError(f"missing field {e.args[0]!r}") from None
+    except (TypeError, ValueError) as e:
+        raise SchemaError(str(e)) from None
+
+
+def _parse_fields(doc, p):
     if p not in P.PROBLEM_TAGS:
         raise SchemaError(f"unknown problem tag {p!r}")
     gens_doc = doc.get("generators", [])
     if not isinstance(gens_doc, list):
         raise SchemaError("generators must be a list")
     kw = {}
-    try:
-        return _parse_fields(doc, p, gens_doc, kw)
-    except KeyError as e:
-        raise SchemaError(f"missing field {e.args[0]!r}")
-
-
-def _parse_fields(doc, p, gens_doc, kw):
     if p in _AFFINE_TAGS:
         domain = "Q" if p == P.AFFINE_REACHABILITY_Q else "Z"
         gens = tuple(_dec_affine(g, domain) for g in gens_doc)
@@ -230,13 +227,8 @@ def _parse_fields(doc, p, gens_doc, kw):
         elif p in _VECTOR_TAGS:
             kw["x"], kw["y"] = _dec_vec(doc["x"]), _dec_vec(doc["y"])
             if p == P.SCALAR_REACHABILITY:
-                kw["lambda"] = _dec_int(doc["lambda"])
-    if "lambda" in kw:
-        kw["lam"] = kw.pop("lambda")
-    try:
-        return ProblemInstance(p, gens, **kw)
-    except (KeyError, ValueError) as e:
-        raise SchemaError(str(e))
+                kw["lam"] = _dec_int(doc["lambda"])
+    return ProblemInstance(p, gens, **kw)
 
 
 def serialize_result(verdict: Verdict, solver: str, budget: dict) -> dict:
@@ -250,10 +242,6 @@ def serialize_result(verdict: Verdict, solver: str, budget: dict) -> dict:
 
 # ---------------------------------------------------------------------------
 # Routing
-
-
-def _as_mat2(m):
-    return m.to_mat2() if isinstance(m, UTMat) else m
 
 
 def _all_ut(inst) -> bool:
@@ -291,66 +279,54 @@ def _utvec_ok(inst) -> bool:
 
 def _mortality_ok(inst) -> bool:
     return inst.problem == P.MORTALITY \
-        and all(_as_mat2(g).det() in (0, 1) for g in inst.generators)
+        and all(g.det() in (0, 1) for g in inst.generators)
 
 
-def _solve_utmember(inst, budget: Budget, prm: PrmBudget) -> Verdict:
-    gens, t = list(inst.generators), inst.target
-    if all(g.a != 0 and g.c != 0 for g in gens) and t.a != 0 and t.c != 0:
-        return solve_membership_nonzero_diag(gens, t)
-    if all(g.c != 0 for g in gens):
-        return solve_membership_one_zero(gens, t, prm, nonzero="c")
-    if all(g.a != 0 for g in gens):
-        return solve_membership_one_zero(gens, t, prm, nonzero="a")
-    return reduce_membership_to_scalar(gens, t, budget, prm)
-
-
-def _solve_machines(mi: MachineInstance, prm: PrmBudget) -> Verdict:
+def _solve_machines(mi: MachineInstance, budget: Budget,
+                    prm: PrmBudget) -> Verdict:
     if mi.problem == BCA_REACHABILITY:
         return reach_bca(mi.machine, mi.source, mi.target)
     return reach_prm(mi.machine, mi.source, mi.target, prm)
 
 
+# (route, precondition, run(inst, budget, prm)), most specific
+# hypothesis first; the oracle row accepts every ProblemInstance.  The
+# run entries look the solvers up by module-level name at call time, so
+# rebinding a name (as a tracer does) reaches every route.
+ROUTES = (
+    ("machines", lambda inst: isinstance(inst, MachineInstance),
+     _solve_machines),
+    ("detminus1", _detminus1_ok,
+     lambda inst, budget, prm: solve_detminus1(inst)),
+    ("detpm1", _detpm1_ok,
+     lambda inst, budget, prm: solve_detpm1(inst)),
+    ("utmember", _utmember_ok,
+     lambda inst, budget, prm: reduce_membership_to_scalar(
+         list(inst.generators), inst.target, budget, prm)),
+    ("utvec", _utvec_ok,
+     lambda inst, budget, prm: solve_vecreach_ut22(
+         list(inst.generators), inst.x, inst.y, prm)),
+    ("mortality", _mortality_ok,
+     lambda inst, budget, prm: solve_mortality(list(inst.generators),
+                                               budget)),
+    ("oracle", lambda inst: isinstance(inst, ProblemInstance),
+     lambda inst, budget, prm: oracle_solve(inst, budget)),
+)
+
+SOLVER_NAMES = ("auto",) + tuple(name for name, _, _ in ROUTES)
+
+
 def dispatch(inst, solver: str, budget: Budget, prm: PrmBudget):
-    """Run the requested solver, or route by structural preconditions
-    (most specific hypothesis first) when solver is "auto"."""
-    if isinstance(inst, MachineInstance):
-        if solver not in ("auto", "machines"):
-            raise SchemaError(f"solver {solver} cannot handle {inst.problem}")
-        return _solve_machines(inst, prm), "machines"
-    if solver == "machines":
-        raise SchemaError("machines solver needs a machine instance")
-    if solver == "auto":
-        if _detminus1_ok(inst):
-            return solve_detminus1(inst), "detminus1"
-        if _detpm1_ok(inst):
-            return solve_detpm1(inst), "detpm1"
-        if _utmember_ok(inst):
-            return _solve_utmember(inst, budget, prm), "utmember"
-        if _utvec_ok(inst):
-            return solve_vecreach_ut22(list(inst.generators), inst.x,
-                                       inst.y, prm), "utvec"
-        if _mortality_ok(inst):
-            return solve_mortality(list(inst.generators), budget), "mortality"
-        return oracle_solve(inst, budget), "oracle"
-    checks = {"detminus1": _detminus1_ok, "detpm1": _detpm1_ok,
-              "utmember": _utmember_ok, "utvec": _utvec_ok,
-              "mortality": _mortality_ok}
-    if solver in checks:
-        if not checks[solver](inst):
+    """Run the named route, or under "auto" the first route whose
+    precondition holds.  Returns (verdict, route name); a named route
+    whose precondition fails raises SchemaError."""
+    for name, applies, run in ROUTES:
+        if solver in ("auto", name) and applies(inst):
+            return run(inst, budget, prm), name
+        if solver == name:
             raise SchemaError(
-                f"instance does not meet the {solver} preconditions")
-        if solver == "detminus1":
-            return solve_detminus1(inst), solver
-        if solver == "detpm1":
-            return solve_detpm1(inst), solver
-        if solver == "utmember":
-            return _solve_utmember(inst, budget, prm), solver
-        if solver == "utvec":
-            return solve_vecreach_ut22(list(inst.generators), inst.x,
-                                       inst.y, prm), solver
-        return solve_mortality(list(inst.generators), budget), solver
-    return oracle_solve(inst, budget), "oracle"
+                f"instance does not meet the {name} preconditions")
+    raise SchemaError(f"no {solver} route accepts {type(inst).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +356,6 @@ def replay_machine(mi: MachineInstance, witness) -> Optional[str]:
             if s != conf[0]:
                 return f"step {step}: transition {i} starts at {s!r}, " \
                        f"machine is at {conf[0]!r}"
-            from .machines import poly_eval
             conf = (d, poly_eval(p, conf[1]))
     if conf != mi.target:
         return f"step {len(witness)}: run ends at {conf}, " \

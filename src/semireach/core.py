@@ -62,12 +62,6 @@ class Mat2:
         return Vec2(self.m11 * v.v1 + self.m12 * v.v2,
                     self.m21 * v.v1 + self.m22 * v.v2)
 
-    def scale(self, k: int) -> "Mat2":
-        return Mat2(k * self.m11, k * self.m12, k * self.m21, k * self.m22)
-
-    def transpose(self) -> "Mat2":
-        return Mat2(self.m11, self.m21, self.m12, self.m22)
-
     @staticmethod
     def identity() -> "Mat2":
         return Mat2(1, 0, 0, 1)
@@ -96,9 +90,6 @@ class UTMat:
     def det(self) -> int:
         return self.a * self.c
 
-    def rank(self) -> int:
-        return self.to_mat2().rank()
-
     def is_zero(self) -> bool:
         return self.a == self.b == self.c == 0
 
@@ -123,18 +114,6 @@ class Vec2:
 
     def is_zero(self) -> bool:
         return self.v1 == 0 and self.v2 == 0
-
-
-def mat_mul(lhs, rhs):
-    """Product of two matrices of the same kind (Mat2 or UTMat)."""
-    if type(lhs) is not type(rhs):
-        raise TypeError(f"mixed matrix kinds: {type(lhs).__name__} * {type(rhs).__name__}")
-    return lhs * rhs
-
-
-def det_rank(m) -> tuple[int, int]:
-    """Determinant and symbolic rank of a Mat2 or UTMat."""
-    return m.det(), m.rank()
 
 
 def primitive(v: Vec2) -> tuple[Vec2, int]:
@@ -205,11 +184,3 @@ class AffineMap:
     def matrix(self) -> UTMat:
         """The (a b; 0 c) representative."""
         return UTMat(self.a, self.b, self.c)
-
-
-def affine_compose(f: AffineMap, g: AffineMap) -> AffineMap:
-    return f.compose(g)
-
-
-def affine_apply(f: AffineMap, x):
-    return f.apply(x)

@@ -29,7 +29,6 @@ class ZVass:
     0, t_n) where (s_n, t_n) is the state reached.
     """
 
-    states: tuple = SIGN_STATES
     transitions: tuple = ()  # (src state, weight, dst state)
 
 
@@ -42,7 +41,7 @@ def build_zvass(gens) -> ZVass:
                 raise ValueError(f"generator {g} has a diagonal entry "
                                  "outside {-1, 1}")
             trans.append(((s, t), s * t * g.c * g.b, (s * g.a, t * g.c)))
-    return ZVass(SIGN_STATES, tuple(trans))
+    return ZVass(tuple(trans))
 
 
 # Per-generator shape, read off the transitions leaving (+1,+1): the

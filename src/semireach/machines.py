@@ -278,10 +278,6 @@ class ReductionParams:
         B = 2 ** j - 1
         return ReductionParams(b, j, B, 2 * B + 1)
 
-    def guess_value(self, i: int, c: int) -> int:
-        """Register value after multiplying by K+1 and subtracting i*K."""
-        return (self.K + 1) * c - i * self.K
-
 
 def digit_guess_value(i: int, c: int, K: int) -> int:
     """(K+1)*c - i*K: the register after one simulated guess of i."""
@@ -331,13 +327,12 @@ def reduce_bca_to_arm(m: Bca, src, dst) -> ReducedArm:
                       params)
 
 
-def sufficient_budget(red: ReducedArm, nstates_hint: Optional[int] = None) \
-        -> PrmBudget:
+def sufficient_budget(red: ReducedArm) -> PrmBudget:
     """A budget under which the reduced machine's search never comes back
     Unknown: magnitudes beyond (B+1)(K+1) only occur on runs already cut
     off by the monotone bounds, and the step count covers every distinct
     live configuration."""
     p = red.params
-    n = nstates_hint or len(red.machine.states)
+    n = len(red.machine.states)
     return PrmBudget(max_steps=n * (p.B + 1) * (p.j + 3),
                      max_magnitude=2 * (p.B + 1) * (p.K + 1) + 64)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .core import Mat2, Vec2, primitive, xgcd
-from .oracle import _search
+from .oracle import _as_mat2, _search
 from .problems import Budget, Verdict, no, unknown, yes
 
 
@@ -87,9 +87,10 @@ def solve_mortality(gens, budget: Budget) -> Verdict:
     (y1, y2), and the middle must map x onto a multiple of (-y2, y1).
     Since the middle preserves primitivity, only the two signed copies of
     that vector can occur, and a budgeted orbit search decides each
-    bracket pair.
+    bracket pair.  Upper-triangular generators are read as general
+    matrices.
     """
-    gens = list(gens)
+    gens = [_as_mat2(g) for g in gens]
     for g in gens:
         if g.det() not in (0, 1):
             raise ValueError(f"generator determinant {g.det()} not in {{0, 1}}")

@@ -11,24 +11,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import problems as P
+from .bridge import disjunction
 from .core import UTMat, Vec2
 from .detpm1 import SIGN_STATES, build_zvass, realize_run, value_set
 from .diophantine import SemilinearSet, nonneg_combination
 from .machines import Prm, PrmBudget, reach_prm
 from .oracle import oracle_solve
-from .problems import (Budget, ProblemInstance, Verdict, no, unknown, yes)
-
-
-@dataclass(frozen=True)
-class FactorPlan:
-    """One guessed factorization shape: the ordered big factors (first
-    applied first), the length bound they were drawn under, an optional
-    forced first factor, and the chosen segment sign pattern."""
-
-    big: tuple
-    l_bound: int
-    first: Optional[int] = None
-    signs: tuple = ()
+from .problems import Budget, ProblemInstance, Verdict, no, yes
 
 
 @dataclass(frozen=True)
@@ -57,16 +46,6 @@ def _remap(v: Verdict, index_map) -> Verdict:
     if v.is_yes:
         return yes(tuple(index_map[i] for i in v.witness))
     return v
-
-
-def _combine(verdicts) -> Verdict:
-    saw_unknown = False
-    for v in verdicts:
-        if v.is_yes:
-            return v
-        if not v.definitive:
-            saw_unknown = True
-    return unknown() if saw_unknown else no("saturation")
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +165,7 @@ def _vecreach_nonzero(gens, x, y, budget, flagged) -> Verdict:
             word = [origin[i] for i in v.witness]
             return yes(tuple(reversed(word)))
         verdicts.append(v)
-    return _combine(verdicts) if verdicts else no("structural")
+    return disjunction(verdicts) if verdicts else no("structural")
 
 
 def solve_vecreach_ut22(gens, x: Vec2, y: Vec2,
@@ -499,7 +478,7 @@ def reduce_membership_to_scalar(gens, target: UTMat,
                         return yes(tuple(wl) + (i,) + tuple(v.witness)
                                    + (j,) + tuple(wr))
                     verdicts.append(v)
-    return _combine(verdicts) if verdicts else no("structural")
+    return disjunction(verdicts) if verdicts else no("structural")
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +525,7 @@ def solve_signinv_scalar(gens, x: Vec2, y: Vec2, budget: Budget) -> Verdict:
     """Answer the sign-invariant scalar question by running the reduced
     membership queries through the search oracle."""
     _, queries = reduce_signinv_scalar_to_membership(gens, x, y)
-    return _combine([oracle_solve(q, budget) for q in queries])
+    return disjunction([oracle_solve(q, budget) for q in queries])
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ from click.testing import CliRunner
 from semireach import problems as P
 from semireach.bridge import gen_hard
 from semireach.cli import (ARM_REACHABILITY, BCA_REACHABILITY,
-                           MachineInstance, SchemaError, dispatch, main,
-                           parse_instance, random_instance, replay_instance,
+                           SOLVER_NAMES, MachineInstance, SchemaError,
+                           dispatch, main, oracle_solve, parse_instance,
+                           random_instance, replay_instance,
                            serialize_instance, serialize_result)
 from semireach.core import AffineMap, Mat2, UTMat, Vec2
 from semireach.machines import Bca, Prm, PrmBudget
@@ -77,30 +78,65 @@ def test_parse_rejects_malformed_documents():
                         "target": ["1", "0", "1"]})
     with pytest.raises(SchemaError):
         parse_instance({"problem": P.MATRIX_MEMBERSHIP, "generators": []})
+    no_bound = {"problem": BCA_REACHABILITY,
+                "machine": {"states": ["q"],
+                            "transitions": [["q", "1", "q"]]},
+                "x": ["q", "0"], "y": ["q", "1"]}
+    bad_poly = {"problem": ARM_REACHABILITY,
+                "machine": {"states": ["q"], "transitions": [["q", "q", 5]]},
+                "x": ["q", "0"], "y": ["q", "1"]}
+    runner = CliRunner()
+    for doc in (no_bound, bad_poly):
+        with pytest.raises(SchemaError):
+            parse_instance(doc)
+        res = runner.invoke(main, ["solve", "-"], input=json.dumps(doc))
+        assert res.exit_code == 3, res.output
 
 
 def test_dispatch_routing_order():
     budget, prm = Budget(8, 10 ** 6), PrmBudget(1024, 10 ** 6)
+    assert SOLVER_NAMES == ("auto", "machines", "detminus1", "detpm1",
+                            "utmember", "utvec", "mortality", "oracle")
+    bca = MachineInstance(BCA_REACHABILITY,
+                          Bca(("p",), 1, (("p", 1, "p"),)),
+                          ("p", 0), ("p", 1))
     m1 = ProblemInstance(P.MATRIX_MEMBERSHIP, (UTMat(1, 3, -1),),
                          target=UTMat(1, 3, -1))
-    assert dispatch(m1, "auto", budget, prm)[1] == "detminus1"
     pm = ProblemInstance(P.MATRIX_MEMBERSHIP, (UTMat(1, 3, 1),),
                          target=UTMat(1, 6, 1))
-    assert dispatch(pm, "auto", budget, prm)[1] == "detpm1"
     ut = ProblemInstance(P.MATRIX_MEMBERSHIP, (UTMat(2, 1, 1),),
                          target=UTMat(4, 3, 1))
-    assert dispatch(ut, "auto", budget, prm)[1] == "utmember"
     vec = ProblemInstance(P.VECTOR_REACHABILITY, (UTMat(2, 1, 3),),
                           x=Vec2(0, 1), y=Vec2(1, 3))
-    assert dispatch(vec, "auto", budget, prm)[1] == "utvec"
     mo = ProblemInstance(P.MORTALITY, (Mat2(1, 1, 0, 1), Mat2(0, 0, 0, 0)))
-    assert dispatch(mo, "auto", budget, prm)[1] == "mortality"
     gen_mat = ProblemInstance(P.MORTALITY, (Mat2(0, 1, 1, 0),))  # det -1
-    assert dispatch(gen_mat, "auto", budget, prm)[1] == "oracle"
+    by_route = {"machines": bca, "detminus1": m1, "detpm1": pm,
+                "utmember": ut, "utvec": vec, "mortality": mo,
+                "oracle": gen_mat}
+    for route, inst in by_route.items():
+        assert dispatch(inst, "auto", budget, prm)[1] == route
+        assert dispatch(inst, route, budget, prm)[1] == route
+    assert dispatch(pm, "oracle", budget, prm)[1] == "oracle"
     with pytest.raises(SchemaError):
         dispatch(pm, "detminus1", budget, prm)  # determinant is +1
     with pytest.raises(SchemaError):
         dispatch(pm, "machines", budget, prm)
+    with pytest.raises(SchemaError):
+        dispatch(bca, "oracle", budget, prm)
+
+
+def test_upper_triangular_mortality_agrees_with_oracle():
+    budget, prm = Budget(8, 10 ** 6), PrmBudget(1024, 10 ** 6)
+    for gens_doc in ([["1", "1", "1"], ["1", "0", "0"]],
+                     [["0", "1", "1"], ["1", "1", "0"]]):
+        inst = parse_instance({"problem": P.MORTALITY,
+                               "generators": gens_doc})
+        verdict, route = dispatch(inst, "auto", budget, prm)
+        assert route == "mortality" and verdict.definitive
+        oracle = oracle_solve(inst, budget)
+        assert not oracle.definitive or oracle.kind == verdict.kind
+        if verdict.is_yes:
+            assert replay_instance(inst, verdict.witness) is None
 
 
 def test_solve_routes_gen_hard_to_detpm1(tmp_path):
