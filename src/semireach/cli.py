@@ -12,6 +12,7 @@ import json
 import random
 import re
 import sys
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -486,6 +487,13 @@ def _fail(msg: str):
     sys.exit(3)
 
 
+def _crash():
+    """Report an uncaught failure as an error (exit 3), never as a
+    verdict: exit 1 means "no"."""
+    click.echo(traceback.format_exc(), err=True, nl=False)
+    _fail(f"internal error: {sys.exc_info()[1]!r}")
+
+
 @click.group()
 def main():
     """Decision procedures for 2x2 matrix and affine reachability."""
@@ -509,6 +517,8 @@ def solve(instance, solver, max_len, max_magnitude, max_steps):
         verdict, used = dispatch(inst, solver, budget, prm)
     except (SchemaError, ValueError) as e:
         _fail(str(e))
+    except Exception:
+        _crash()
     click.echo(json.dumps(serialize_result(
         verdict, used,
         {"max-len": max_len, "max-magnitude": max_magnitude,
@@ -526,10 +536,15 @@ def verify(instance, result):
         res = _read_json(result)
         if not isinstance(res, dict) or res.get("verdict") != "yes":
             raise SchemaError("result file must carry a yes verdict")
-        witness = [_dec_int(i) for i in res.get("witness") or []]
+        witness = res.get("witness")
+        if not isinstance(witness, list):
+            raise SchemaError(f"bad witness encoding {witness!r}")
+        witness = [_dec_int(i) for i in witness]
+        diag = replay_instance(inst, witness)
     except (SchemaError, ValueError) as e:
         _fail(str(e))
-    diag = replay_instance(inst, witness)
+    except Exception:
+        _crash()
     if diag is not None:
         click.echo(f"replay mismatch: {diag}", err=True)
         sys.exit(1)

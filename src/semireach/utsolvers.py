@@ -13,7 +13,8 @@ from typing import Optional
 from . import problems as P
 from .bridge import disjunction
 from .core import UTMat, Vec2
-from .detpm1 import SIGN_STATES, build_zvass, realize_run, value_set
+from .detpm1 import (SIGN_STATES, _word_product, build_zvass, realize_run,
+                     value_set)
 from .diophantine import SemilinearSet, nonneg_combination
 from .machines import Prm, PrmBudget, reach_prm
 from .oracle import oracle_solve
@@ -196,32 +197,7 @@ def solve_vecreach_ut22(gens, x: Vec2, y: Vec2,
 
 
 def _scale_set(s: SemilinearSet, k: int) -> SemilinearSet:
-    if k == 0:
-        return SemilinearSet.empty() if s.is_empty() else \
-            SemilinearSet.singleton(0)
     return SemilinearSet(tuple((k * b, k * st) for b, st in s.components))
-
-
-def _nonzero_big_sequences(gens, ta, tc):
-    """Sequences over generators with a diagonal entry of magnitude > 1
-    whose top-left magnitudes multiply to |ta| and bottom-right to |tc|.
-    """
-    big = [(i, abs(g.a), abs(g.c)) for i, g in enumerate(gens)
-           if abs(g.a) > 1 or abs(g.c) > 1]
-    out = []
-
-    def extend(prefix, ra, rc):
-        if ra == 1 and rc == 1:
-            out.append(tuple(prefix))
-            return
-        for i, ma, mc in big:
-            if ra % ma == 0 and rc % mc == 0:
-                prefix.append(i)
-                extend(prefix, ra // ma, rc // mc)
-                prefix.pop()
-
-    extend([], abs(ta), abs(tc))
-    return out
 
 
 def _segment_sets(gens):
@@ -231,31 +207,54 @@ def _segment_sets(gens):
                 if abs(g.a) == 1 and abs(g.c) == 1]
     unit = [gens[i] for i in unit_idx]
     zv = build_zvass(unit)
-    sets = {}
-    for s, t in SIGN_STATES:
-        sets[(s, t)] = _scale_set(value_set(zv, (1, 1), (s, t)), t)
+    sets = {st: _scale_set(value_set(zv, (1, 1), st), st[1])
+            for st in SIGN_STATES}
     return sets, unit, unit_idx
 
 
-def _sign_patterns(nseg, feasible):
-    if nseg == 0:
-        yield ()
-        return
-    for rest in _sign_patterns(nseg - 1, feasible):
-        for st in feasible:
-            yield rest + (st,)
+def _diag_skeleton(gens, signs, ta, tc):
+    """Integer skeleton of the membership DP: nodes (A, C, phase) with
+    A | ta and C | tc, the diagonal of a product suffix whose last
+    prepended part was a big factor or nothing (phase 0) or a unit
+    segment (phase 1).  Maps each node on a path from (1, 1, 0) to
+    (ta, tc, 1) to its incoming (predecessor, label) edges, labelled by
+    a segment's sign pair or a big generator's index."""
+    big = [i for i, g in enumerate(gens) if abs(g.a) > 1 or abs(g.c) > 1]
+    start, goal = (1, 1, 0), (ta, tc, 1)
+    into, todo = {start: []}, [start]
+    while todo:
+        node = todo.pop()
+        A, C, phase = node
+        if phase == 0:
+            steps = [((s * A, t * C, 1), (s, t)) for s, t in signs]
+        else:
+            steps = [((gens[i].a * A, gens[i].c * C, 0), i) for i in big]
+        for dst, label in steps:
+            if ta % dst[0] == 0 and tc % dst[1] == 0:
+                if dst not in into:
+                    todo.append(dst)
+                into.setdefault(dst, []).append((node, label))
+    live = set()
+    stack = [goal] if goal in into else []
+    while stack:
+        node = stack.pop()
+        if node not in live:
+            live.add(node)
+            stack += [src for src, _ in into[node]]
+    return {node: [e for e in into[node] if e[0] in live] for node in live}
 
 
 def solve_membership_nonzero_diag(gens, target: UTMat) -> Verdict:
     """Exact membership when generators and target have no zero diagonal
     entries.
 
-    Any product factors as unit-diagonal segments interleaved with the
-    finitely many big-diagonal factors plus an arbitrary first factor;
-    for a fixed interleaving and segment sign pattern the top-right
-    entry is linear in the segment top-rights, each of which ranges over
-    a semilinear set.
-    """
+    A product alternates unit-diagonal segments with big factors (a
+    diagonal entry of magnitude > 1).  Prepending (a b; 0 c) to (A B; 0 C)
+    gives (aA, aB + bC; 0, cC), so a dynamic programme over the signed
+    divisor pairs (A, C) of the target diagonal carries the semilinear
+    set of top-right entries B: a big factor maps it to a*B + b*C, a
+    segment of sign pair (s, t) to s*B + C*Seg(s, t).  Big factors
+    strictly grow |A*C|, so one pass in that order is complete."""
     _require(gens, "a", "top-left")
     _require(gens, "c", "bottom-right")
     if not isinstance(target, UTMat) or target.a == 0 or target.c == 0:
@@ -263,100 +262,66 @@ def solve_membership_nonzero_diag(gens, target: UTMat) -> Verdict:
     if target == UTMat.identity():
         return yes(())
     seg_sets, unit, unit_idx = _segment_sets(gens)
-    feasible = [st for st in SIGN_STATES if not seg_sets[st].is_empty()]
-    for m1 in range(len(gens)):
-        g1 = gens[m1]
-        if target.a % g1.a != 0 or target.c % g1.c != 0:
-            continue
-        for seq in _nonzero_big_sequences(gens, target.a // g1.a,
-                                          target.c // g1.c):
-            wit = _membership_plan(gens, target, m1, seq, seg_sets,
-                                   feasible, unit, unit_idx)
-            if wit is not None:
-                return yes(wit)
-    return no("structural")
+    signs = [st for st in SIGN_STATES if not seg_sets[st].is_empty()]
+    into = _diag_skeleton(gens, signs, target.a, target.c)
+    goal = (target.a, target.c, 1)
+    sets = {}
+    for node in sorted(into, key=lambda n: (abs(n[0] * n[1]), n[2])):
+        comps = () if into[node] else ((0, 0),)
+        for src, label in into[node]:
+            if isinstance(label, int):
+                g = gens[label]
+                comps += tuple((g.a * b + g.b * src[1], g.a * st)
+                               for b, st in sets[src].components)
+            else:
+                comps += _scale_set(sets[src], label[0]).sum(
+                    _scale_set(seg_sets[label], src[1])).components
+        sets[node] = SemilinearSet(comps)
+    if goal not in sets or not sets[goal].member(target.b):
+        return no("structural")
+    # walk the edges back from the goal; the word comes out left to right
+    word = []
+    node, x = goal, target.b
+    while into[node]:
+        for src, label in into[node]:
+            if isinstance(label, int):
+                g = gens[label]
+                y, r = divmod(x - g.b * src[1], g.a)
+                if r == 0 and sets[src].member(y):
+                    word.append(label)
+                    break
+            else:
+                s, t = label
+                pick = _pick_pair(s, sets[src], src[1], seg_sets[label], x)
+                if pick is not None:
+                    y, sigma = pick
+                    seg_word = realize_run(unit, (1, 1), label, t * sigma)
+                    word += [unit_idx[i] for i in seg_word]
+                    break
+        else:
+            raise AssertionError(f"no edge into {node} explains {x}")
+        node, x = src, y
+    assert _word_product(gens, word) == target
+    return yes(tuple(word))
 
 
-def _membership_plan(gens, target, m1, seq, seg_sets, feasible, unit,
-                     unit_idx):
-    """Try one (first factor, big sequence) plan; returns a witness word
-    or None.  seq is in application order; segment j sits between big
-    factor j and j+1, segment len(seq) is leftmost."""
-    nseg = len(seq) + 1
-    fixed = [gens[m1]] + [gens[i] for i in seq]  # application order
-    for signs in _sign_patterns(nseg, feasible):
-        # factor chain in application order: fixed[0], seg 0, fixed[1],
-        # seg 1, ..., fixed[l], seg l
-        diag = []
-        for j in range(nseg):
-            diag.append((fixed[j].a, fixed[j].c))
-            diag.append(signs[j])
-        prod_a = prod_c = 1
-        for a_, c_ in diag:
-            prod_a *= a_
-            prod_c *= c_
-        if prod_a != target.a or prod_c != target.c:
-            continue
-        # top-right entry: left products use top-left entries (factors
-        # applied later), right products bottom-right entries
-        n = len(diag)
-        left = [1] * (n + 1)   # product of a over positions > i
-        right = [1] * (n + 1)  # product of c over positions < i
-        for i in range(n - 1, -1, -1):
-            left[i] = left[i + 1] * diag[i][0]
-        for i in range(1, n + 1):
-            right[i] = right[i - 1] * diag[i - 1][1]
-        const = 0
-        coefs = []
-        for j in range(nseg):
-            pos_f = 2 * j      # fixed factor position in the chain
-            pos_s = 2 * j + 1  # segment position
-            const += left[pos_f + 1] * fixed[j].b * right[pos_f]
-            coefs.append(left[pos_s + 1] * right[pos_s])
-        rest = target.b - const
-        sets = [seg_sets[signs[j]] for j in range(nseg)]
-        total = SemilinearSet.singleton(0)
-        for cf, s in zip(coefs, sets):
-            total = total.sum(_scale_set(s, cf))
-        if not total.member(rest):
-            continue
-        alphas = _pick_components(coefs, sets, rest)
-        assert alphas is not None
-        word = []
-        for j in range(nseg - 1, -1, -1):
-            s_, t_ = signs[j]
-            seg_word = realize_run(unit, (1, 1), (s_, t_), t_ * alphas[j])
-            assert seg_word is not None
-            word += [unit_idx[i] for i in seg_word]
-            word.append(seq[j - 1] if j > 0 else m1)
-        prod = UTMat.identity()
-        for i in word:
-            prod = prod * gens[i]
-        assert prod == target
-        return tuple(word)
+def _pick_pair(k1, set1, k2, set2, rest):
+    """(x, y) with x in set1, y in set2 and k1*x + k2*y == rest, or None.
+    Pairs with x or y at a component base come first, least |x| + |y|
+    first: they keep the words laid out for them short."""
+    near = [((rest - k2 * b) // k1, b) for b, _ in set2.components]
+    near += [(b, (rest - k1 * b) // k2) for b, _ in set1.components]
+    near = [(x, y) for x, y in near if k1 * x + k2 * y == rest
+            and set1.member(x) and set2.member(y)]
+    if near:
+        return min(near, key=lambda p: abs(p[0]) + abs(p[1]))
+    for b1, s1 in set1.components:
+        for b2, s2 in set2.components:
+            counts = nonneg_combination([k1 * s1, k2 * s2],
+                                        rest - k1 * b1 - k2 * b2)
+            if counts is not None:
+                return b1 + s1 * counts[0], b2 + s2 * counts[1]
     return None
-
-
-def _pick_components(coefs, sets, rest):
-    """Concrete segment top-rights with sum(coef*alpha) == rest, alpha_j
-    drawn from its semilinear set; None only if genuinely infeasible."""
-
-    def search(j, chosen_bases, chosen_steps):
-        if j == len(sets):
-            tgt = rest - sum(c * b for c, b in zip(coefs, chosen_bases))
-            counts = nonneg_combination(
-                [c * s for c, s in zip(coefs, chosen_steps)], tgt)
-            if counts is None:
-                return None
-            return [b + s * k for b, s, k in
-                    zip(chosen_bases, chosen_steps, counts)]
-        for b, s in sets[j].components:
-            got = search(j + 1, chosen_bases + [b], chosen_steps + [s])
-            if got is not None:
-                return got
-        return None
-
-    return search(0, [], [])
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +367,18 @@ def solve_membership_one_zero(gens, target: UTMat, budget: PrmBudget,
 
 
 def _signed_divisors(n):
-    n = abs(n)
-    out = []
-    for d in range(1, n + 1):
-        if n % d == 0:
-            out += [d, -d]
-    return out
+    """The divisors of n != 0 and their negatives, smallest magnitude
+    first, from a trial-division factorization: O(sqrt |n|) divisions."""
+    n, divs, p = abs(n), [1], 2
+    while p * p <= n:
+        k = 0
+        while n % p == 0:
+            n, k = n // p, k + 1
+        divs = [d * p ** e for d in divs for e in range(k + 1)]
+        p += 1
+    if n > 1:
+        divs += [d * n for d in divs]
+    return sorted(divs + [-d for d in divs], key=lambda d: (abs(d), -d))
 
 
 def reduce_membership_to_scalar(gens, target: UTMat,
@@ -449,8 +420,6 @@ def reduce_membership_to_scalar(gens, target: UTMat,
         if A.a == 0 and A.c == 0 and A.b != 0 and t12 % A.b == 0:
             r = t12 // A.b
             for m in _signed_divisors(r):
-                if r % m != 0:
-                    continue
                 wl = _diag_product_word(a_vals, m)
                 wr = _diag_product_word(c_vals, r // m)
                 if wl is not None and wr is not None:
@@ -463,8 +432,6 @@ def reduce_membership_to_scalar(gens, target: UTMat,
                 continue
             for alpha in _signed_divisors(t12):
                 for beta in _signed_divisors(t12 // alpha):
-                    if t12 % (alpha * beta) != 0:
-                        continue
                     wl = _diag_product_word(a_vals, alpha)
                     wr = _diag_product_word(c_vals, beta)
                     if wl is None or wr is None:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
+from semireach import cli
 from semireach import problems as P
 from semireach.bridge import gen_hard
 from semireach.cli import (ARM_REACHABILITY, BCA_REACHABILITY,
@@ -204,6 +205,29 @@ def test_verify_rejects_tampered_witness(tmp_path):
     assert runner.invoke(main, ["verify", str(f), str(g)]).exit_code == 0
     res = runner.invoke(main, ["verify", str(f), str(b)])
     assert res.exit_code == 1 and "replay mismatch" in res.output
+    # a witness that is not a list is a malformed file, not a mismatch
+    b.write_text(json.dumps(dict(good, witness=5)))
+    res = runner.invoke(main, ["verify", str(f), str(b)])
+    assert res.exit_code == 3 and "bad witness" in res.output
+
+
+def test_crash_exits_3(tmp_path, monkeypatch):
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    runner = CliRunner()
+    inst = ProblemInstance(P.MATRIX_MEMBERSHIP, (UTMat(1, 3, 1),),
+                           target=UTMat(1, 6, 1))
+    f = tmp_path / "i.json"
+    f.write_text(json.dumps(serialize_instance(inst)))
+    r = tmp_path / "r.json"
+    r.write_text(json.dumps({"verdict": "yes", "witness": ["0", "0"]}))
+    monkeypatch.setattr(cli, "solve_detpm1", boom)
+    monkeypatch.setattr(cli, "replay_instance", boom)
+    for args in (["solve", str(f)], ["verify", str(f), str(r)]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 3, res.output
+        assert "RuntimeError('boom')" in res.output
 
 
 def test_machine_pipeline_end_to_end(tmp_path):
@@ -248,6 +272,9 @@ def test_gen_random_families_solvable(tmp_path):
         f.write_text(gen.output)
         res = runner.invoke(main, ["solve", str(f), "--max-len", "6"])
         assert res.exit_code in (0, 1, 2), (problem, res.output)
+        # CliRunner reports an uncaught exception as exit 1
+        assert res.exception is None \
+            or isinstance(res.exception, SystemExit), (problem, res.output)
 
 
 def test_random_instance_families():

@@ -5,6 +5,7 @@ the sign-invariant reduction, and the mortality shortcut."""
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -13,7 +14,7 @@ from semireach.core import UTMat, Vec2
 from semireach.machines import PrmBudget
 from semireach.oracle import oracle_solve, replay
 from semireach.problems import Budget, ProblemInstance
-from semireach.utsolvers import (build_case_split,
+from semireach.utsolvers import (_signed_divisors, build_case_split,
                                  reduce_membership_to_scalar,
                                  reduce_signinv_scalar_to_membership,
                                  solve_membership_nonzero_diag,
@@ -119,6 +120,35 @@ def test_membership_nonzero_diag_cross_check():
             assert got.is_yes == want.is_yes, inst
 
 
+def test_membership_nonzero_diag_scales_with_target_diagonal():
+    # the cost grows with the divisor pairs of the target diagonal, not
+    # with the orders of its factors, so 2^10 stays far inside the bound
+    start = time.perf_counter()
+    gens = (UTMat(1, 2, 1), UTMat(-1, 2, -1), UTMat(2, 2, 2),
+            UTMat(2, 0, 1), UTMat(1, 2, 2))
+    # every top-right entry stays even
+    v = solve_membership_nonzero_diag(gens, UTMat(2 ** 10, 1, 2 ** 10))
+    assert v.is_no
+    t = UTMat.identity()
+    for i in (2, 0, 3, 1, 4) * 5:
+        t = t * gens[i]
+    assert (t.a, t.c) == (-2 ** 10, -2 ** 10)
+    v = solve_membership_nonzero_diag(gens, t)
+    assert v.is_yes and replay(_member(gens, t), v.witness)
+    # two big generators of magnitudes 2 and 4, five big factors, the
+    # planted target's top-right perturbed
+    gens = (UTMat(1, -1, 1), UTMat(-1, -1, -1), UTMat(2, -3, 2),
+            UTMat(4, 3, 4))
+    t = UTMat.identity()
+    for i in (2, 0, 3, 2, 1, 3, 0, 2):
+        t = t * gens[i]
+    v = solve_membership_nonzero_diag(gens, t)
+    assert v.is_yes and replay(_member(gens, t), v.witness)
+    assert solve_membership_nonzero_diag(
+        gens, UTMat(t.a, t.b + 1, t.c)).is_no
+    assert time.perf_counter() - start < 2.0
+
+
 def test_membership_one_zero_examples():
     gens = (UTMat(0, 1, 2), UTMat(1, 1, 1))
     t = UTMat(0, 3, 2)
@@ -191,6 +221,20 @@ def test_reduce_membership_to_scalar_cross_check():
             assert got.is_yes == want.is_yes, inst
         if want.is_yes:
             assert got.is_yes, inst
+
+
+def test_double_zero_target_divisors_scale():
+    for n in range(1, 300):
+        assert _signed_divisors(n) == [s * d for d in range(1, n + 1)
+                                       if n % d == 0 for s in (1, -1)]
+    # divisors come from a factorization: about 10^4 trial divisions
+    gens = (UTMat(3, 1, 0), UTMat(0, 1, 5))
+    t = UTMat(0, 10 ** 8, 0)
+    start = time.perf_counter()
+    v = reduce_membership_to_scalar(gens, t, B)
+    assert time.perf_counter() - start < 2.0
+    if v.is_yes:
+        assert replay(_member(gens, t), v.witness)
 
 
 def test_case_split_partition():
