@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence
@@ -187,10 +188,13 @@ def nonneg_combination(coeffs: Sequence[int], target: int,
                        parity: int = 0) -> Optional[list[int]]:
     """Counts n_i >= 0 with sum(n_i * coeffs_i) == target, optionally with
     sum of flagged counts == parity mod 2.  Exact: None means no solution.
+    Same-sign coefficients get a solution with few counts in total.
     """
     coeffs = list(coeffs)
     flips = list(flips) if flips is not None else [False] * len(coeffs)
     parity %= 2
+    if parity == 1 and not any(flips):
+        return None
     has_pos = any(c > 0 for c in coeffs)
     has_neg = any(c < 0 for c in coeffs)
     if has_pos and has_neg:
@@ -200,51 +204,141 @@ def nonneg_combination(coeffs: Sequence[int], target: int,
     t = sign * target
     if t < 0:
         return None
-    big = max(vals, default=0)
-    if big == 0:
-        if t != 0 or (parity == 1 and not any(flips)):
+    if not any(vals):
+        if t != 0:
             return None
         counts = [0] * len(coeffs)
         if parity == 1:
             counts[flips.index(True)] = 1
         return counts
-    dist, parent, mod, bigi = _residue_minima(vals, flips)
-    key = (t % mod, parity)
-    if key not in dist or dist[key] > t:
+    dist, edge, mod, fill = _residue_minima(vals, flips, limit=t)
+    node = 2 * (t % mod) + parity
+    if dist[node] > t:
         return None
-    counts = [0] * len(coeffs)
-    node = key
-    while node != (0, 0):
-        node, i = parent[node]
-        counts[i] += 1
-    counts[bigi] += 2 * ((t - dist[key]) // mod)
+    counts = _fewest_counts(vals, flips, t, parity, dist, mod, fill)
+    if counts is None:
+        # the bounded search gave up: walk the table back from t's class
+        counts = [0] * len(vals)
+        counts[fill] = (t - dist[node]) // vals[fill]
+        while node:
+            i = edge[node]
+            counts[i] += 1
+            p = (node % 2) ^ flips[i]
+            node = 2 * ((node // 2 - vals[i]) % mod) + p
     return counts
 
 
-def _residue_minima(vals, flips):
-    """Shortest-path over residues mod 2*max(vals), tracking parity: the
-    minimal sum representable in each (residue, parity) class.  A value t
-    is representable iff it sits on or above the class minimum; the gap is
-    a multiple of the modulus, filled with parity-neutral pairs of the
-    largest value.  Requires vals all >= 0 with max > 0."""
-    big = max(vals)
-    mod = 2 * big
-    bigi = vals.index(big)
-    dist = {(0, 0): 0}
-    parent = {}
-    heap = [(0, (0, 0))]
+def _residue_minima(vals, flips, limit=None):
+    """Least representable sum in each (residue, parity) class.
+
+    The modulus is keyed on the smallest nonzero value a: it is a when
+    `fill`, the chosen copy of a, is unflagged, and 2a when it is flagged,
+    so that adding the modulus to a sum (with one or two copies of a)
+    keeps its parity.  A sum t with flagged-count parity p is therefore
+    representable iff dist[2 * (t % mod) + p] <= t, and the table has
+    2 * mod <= 4a nodes.  Dijkstra over the classes (Nijenhuis 1979; the
+    Apery set of a in Frobenius-problem terms); with a limit, it stops
+    once the least unsettled distance exceeds the limit, so an entry
+    above the limit only says the class minimum is above it too.
+    edge[u] is the coefficient index of the last step of a shortest path
+    to u.  Requires vals all >= 0, not all 0.  A flagged zero is a
+    free parity flip; other zeros are ignored.
+    Returns (dist, edge, mod, fill)."""
+    fill = min((i for i, v in enumerate(vals) if v > 0),
+               key=lambda i: (vals[i], bool(flips[i])))
+    mod = vals[fill] * (2 if flips[fill] else 1)
+    # one edge per distinct class shift, the cheapest coefficient for it
+    steps = {}
+    for i, v in enumerate(vals):
+        key = (v % mod, bool(flips[i]))
+        if key != (0, False) and \
+                (key not in steps or v < vals[steps[key]]):
+            steps[key] = i
+    steps = [(2 * r, int(f), vals[i], i) for (r, f), i in steps.items()]
+    size = 2 * mod
+    dist = [math.inf] * size
+    edge = [-1] * size
+    dist[0] = 0
+    heap = [(0, 0)]
     while heap:
-        d, node = heapq.heappop(heap)
-        if d > dist[node]:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
             continue
-        r, p = node
-        for i, c in enumerate(vals):
-            nn = ((r + c) % mod, (p + 1) % 2 if flips[i] else p)
-            if nn not in dist or d + c < dist[nn]:
-                dist[nn] = d + c
-                parent[nn] = (node, i)
-                heapq.heappush(heap, (d + c, nn))
-    return dist, parent, mod, bigi
+        if limit is not None and d > limit:
+            break
+        r2, p = u - u % 2, u % 2
+        for shift, f, v, i in steps:
+            w = r2 + shift
+            if w >= size:
+                w -= size
+            w += p ^ f
+            if d + v < dist[w]:
+                dist[w] = d + v
+                edge[w] = i
+                heapq.heappush(heap, (d + v, w))
+    return dist, edge, mod, fill
+
+
+_DECODE_BUDGET = 1024  # candidate counts tried by _fewest_counts
+
+
+def _fewest_counts(vals, flips, t, parity, dist, mod, fill):
+    """Counts for t with as few terms in total as a bounded search finds,
+    or None when it gives up before finding any.
+
+    Depth-first over the other distinct nonzero (value, flag) pairs,
+    largest value first, each count from its largest down, so the first
+    solution puts as much of t as possible on the larger values; the fill
+    value takes the remainder, and one copy of a flagged zero, if there
+    is one, may fix the parity.  A remainder is kept only if the residue
+    table says it is representable, and a branch is cut once its count
+    plus the remainder over the next value cannot beat the best so far.
+    At most _DECODE_BUDGET counts are tried in all, whatever t is."""
+    a, fa = vals[fill], int(flips[fill])
+    zero = next((i for i, (v, f) in enumerate(zip(vals, flips))
+                 if v == 0 and f), None)
+    others = {}
+    for i, v in enumerate(vals):
+        if v > 0 and (v, int(flips[i])) != (a, fa):
+            others.setdefault((v, int(flips[i])), i)
+    others = sorted(others.items(), reverse=True)
+    k = len(others)
+    chosen = [0] * k
+    best = [math.inf, None]  # total, counts
+    budget = [_DECODE_BUDGET]
+
+    def search(j, rest, q, total):
+        if j == k:
+            y, r = divmod(rest, a)
+            flip = (y * fa + q) % 2  # copies of the flagged zero
+            if r == 0 and (zero is not None or not flip) and \
+                    total + y + flip < best[0]:
+                best[:] = [total + y + flip, chosen + [y, flip]]
+            return
+        (v, f), _ = others[j]
+        nxt = others[j + 1][0][0] if j + 1 < k else a
+        n = rest // v
+        while n >= 0 and budget[0] > 0:
+            budget[0] -= 1
+            r = rest - n * v
+            if total + n - (-r // nxt) >= best[0]:
+                return
+            q2 = q ^ (n * f % 2)
+            if j + 1 == k or dist[2 * (r % mod) + q2] <= r:
+                chosen[j] = n
+                search(j + 1, r, q2, total + n)
+            n -= 1
+
+    search(0, t, parity, 0)
+    if best[1] is None:
+        return None
+    counts = [0] * len(vals)
+    for (_, i), n in zip(others, best[1]):
+        counts[i] = n
+    counts[fill] = best[1][-2]
+    if zero is not None:
+        counts[zero] = best[1][-1]
+    return counts
 
 
 def _mixed_combination(coeffs, target, flips, parity):
@@ -415,14 +509,16 @@ def combo_value_set(coeffs: Sequence[int],
                     parity: Optional[int] = None) -> SemilinearSet:
     """The set {sum(n_i * coeffs_i) : n_i >= 0}, optionally restricted to
     combinations whose flagged counts sum to parity mod 2, as a
-    SemilinearSet.  Exact companion of nonneg_combination."""
+    SemilinearSet.  Exact companion of nonneg_combination.  For
+    same-sign coefficients it has one ray per class of the residue table,
+    at most twice the smallest nonzero |coefficient| per parity."""
     coeffs = list(coeffs)
-    if parity is None:
-        # both parities allowed: union the two restricted sets
-        return combo_value_set(coeffs, flips, 0).union(
-            combo_value_set(coeffs, flips, 1))
     flips = list(flips) if flips is not None else [False] * len(coeffs)
-    parity %= 2
+    parities = {0, 1} if parity is None else {parity % 2}
+    if not any(flips):
+        parities.discard(1)  # nothing flagged: the flagged count is 0
+    if not parities:
+        return SemilinearSet.empty()
     has_pos = any(c > 0 for c in coeffs)
     has_neg = any(c < 0 for c in coeffs)
     if has_pos and has_neg:
@@ -430,24 +526,23 @@ def combo_value_set(coeffs: Sequence[int],
         # value- and parity-preserving bundles, so the set is the full
         # lattice-coset projection of the unconstrained solutions
         flagged = tuple(i for i, f in enumerate(flips) if f)
-        res = solve_linear(LinearSystem((), (), ("free",) * len(coeffs),
-                                        ((flagged, parity),)))
-        if res.kind != "some":
-            return SemilinearSet.empty()
-        w0 = sum(c * v for c, v in zip(coeffs, res.particular))
-        h = 0
-        for vec in res.basis:
-            h = gcd(h, sum(c * v for c, v in zip(coeffs, vec)))
-        if h == 0:
-            return SemilinearSet.singleton(w0)
-        return SemilinearSet(((w0, h), (w0, -h)))
+        comps = []
+        for q in parities:
+            res = solve_linear(LinearSystem((), (), ("free",) * len(coeffs),
+                                            ((flagged, q),)))
+            if res.kind != "some":
+                continue
+            w0 = sum(c * v for c, v in zip(coeffs, res.particular))
+            h = 0
+            for vec in res.basis:
+                h = gcd(h, sum(c * v for c, v in zip(coeffs, vec)))
+            comps += [(w0, h), (w0, -h)] if h else [(w0, 0)]
+        return SemilinearSet(tuple(comps))
     sign = -1 if has_neg else 1
     vals = [sign * c for c in coeffs]
-    if max(vals, default=0) == 0:
-        if parity == 1 and not any(flips):
-            return SemilinearSet.empty()
+    if not any(vals):
         return SemilinearSet.singleton(0)
     dist, _, mod, _ = _residue_minima(vals, flips)
-    comps = tuple((sign * d, sign * mod)
-                  for (_, p), d in dist.items() if p == parity)
-    return SemilinearSet(comps)
+    return SemilinearSet(tuple((sign * d, sign * mod)
+                               for u, d in enumerate(dist)
+                               if u % 2 in parities and d < math.inf))

@@ -2,8 +2,11 @@
 
 import itertools
 import random
+import time
 from math import gcd
 
+from semireach import bridge, diophantine
+from semireach.detpm1 import solve_detpm1
 from semireach.diophantine import (LinearSystem, SemilinearSet,
                                    combo_value_set, hnf, nonneg_combination,
                                    solve_linear)
@@ -148,3 +151,118 @@ def test_combo_value_set_edge_cases():
     assert combo_value_set([0], [True], 1).member(0)
     s = combo_value_set([2, -3])
     assert all(s.member(t) for t in range(-20, 20))
+
+
+def _parity_reach(coeffs, flips, hi):
+    """reach[v]: bit p set iff some nonneg combination of the (positive)
+    coeffs sums to v with flagged-count parity p."""
+    reach = [0] * (hi + 1)
+    reach[0] = 1
+    for v in range(1, hi + 1):
+        for c, f in zip(coeffs, flips):
+            if c <= v:
+                bits = reach[v - c]
+                reach[v] |= ((bits & 1) << 1 | bits >> 1) if f else bits
+    return reach
+
+
+def _check_skewed(seed, cases):
+    # one small coefficient among large ones: the residue table's modulus
+    # follows the small one, far below the largest
+    rng = random.Random(seed)
+    for _ in range(cases):
+        coeffs = [rng.randint(1, 6)] + \
+            [rng.randint(20, 80) for _ in range(rng.randint(1, 3))]
+        rng.shuffle(coeffs)
+        flips = [rng.random() < 0.5 for _ in coeffs]
+        parity = rng.randint(0, 1)
+        sign = rng.choice((1, -1))
+        signed = [sign * c for c in coeffs]
+        reach = _parity_reach(coeffs, flips, 400)
+        s = combo_value_set(signed, flips, parity)
+        for t in range(401):
+            want = bool(reach[t] >> parity & 1)
+            got = nonneg_combination(signed, sign * t, flips, parity)
+            assert (got is not None) == want, (signed, flips, parity, t)
+            assert s.member(sign * t) == want, (signed, flips, parity, t)
+            if got is not None:
+                assert all(n >= 0 for n in got)
+                assert sum(c * n for c, n in zip(signed, got)) == sign * t
+                assert sum(n for n, f in zip(got, flips) if f) % 2 == parity
+
+
+def test_skewed_coefficients_match_dp():
+    _check_skewed(6, 40)
+
+
+def test_table_walk_fallback_is_exact(monkeypatch):
+    # with no search budget every answer comes from walking the table
+    monkeypatch.setattr(diophantine, "_DECODE_BUDGET", 0)
+    _check_skewed(7, 10)
+    # a flagged zero is a free parity flip on the walk
+    for coeffs, flips in (([0, 3, 5], [True, False, True]),
+                          ([-7, 0, -2], [False, True, False])):
+        for parity in (0, 1):
+            for t in range(-24, 25):
+                got = nonneg_combination(coeffs, t, flips, parity)
+                assert (got is not None) == \
+                    _brute_combo(coeffs, t, flips, parity)
+                if got is not None:
+                    assert sum(c * n for c, n in zip(coeffs, got)) == t
+                    assert sum(n for n, f in zip(got, flips) if f) % 2 \
+                        == parity
+
+
+def test_skewed_residue_table_is_small_and_fast():
+    start = time.perf_counter()
+    got = nonneg_combination([3, 1000003], 5_000_000)
+    assert got is not None and 3 * got[0] + 1000003 * got[1] == 5_000_000
+    for parity in (0, 1):
+        s = combo_value_set([3, 1000003], [False, True], parity)
+        assert 0 < len(s.components) <= 2 * 3
+        assert s.member(1000003 * (2 - parity) + 3 * 7)
+        assert not s.member(1000003 * (1 + parity))
+    assert len(combo_value_set([3, 1000003]).components) <= 2 * 3
+    big = 10 ** 7 + 19
+    t = 9 * big + 5 * 11 + 3 * 2
+    got = nonneg_combination([3, 5, big], t)
+    assert got is not None and 3 * got[0] + 5 * got[1] + big * got[2] == t
+    assert nonneg_combination([3, 5, big], 7) is None
+    s = combo_value_set([3, 5, big])
+    assert s.member(t) and not s.member(7) and len(s.components) <= 2 * 3
+    assert time.perf_counter() - start < 1.0
+
+
+def test_witness_length_regression():
+    # 40001 = 3*667 + 5000*4 + 9000*2 is the fewest terms possible (673);
+    # a table keyed on the largest value gave 2671, and filling the gap
+    # above a class minimum with copies of 3 would take thousands
+    got = nonneg_combination([3, 5000, 9000], 40001)
+    assert 3 * got[0] + 5000 * got[1] + 9000 * got[2] == 40001
+    assert all(n >= 0 for n in got)
+    assert sum(got) == 673
+
+
+def test_one_residue_table_per_query(monkeypatch):
+    builds = []
+    build = diophantine._residue_minima
+
+    def counted(*args, **kwargs):
+        builds.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(diophantine, "_residue_minima", counted)
+    # a parity-1 query with nothing flagged fails before any table
+    assert nonneg_combination([4, 6], 10, [False, False], 1) is None
+    assert combo_value_set([4, 6], None, 1).is_empty()
+    assert builds == []
+    # both parities come from one table
+    s = combo_value_set([4, 6], [True, False])
+    assert len(builds) == 1
+    assert s.member(4) and s.member(6) and not s.member(2)
+    # a zero-reach No over three weights asks one query per sign state;
+    # only (1, 1) can succeed, and only it builds a table
+    builds.clear()
+    inst = bridge.gen_hard([5837, 7600, 5250], 5251, "zero-reach")
+    assert solve_detpm1(inst).is_no
+    assert len(builds) == 1
