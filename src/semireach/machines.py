@@ -42,9 +42,6 @@ class Prm:
             if not p:
                 raise ValueError("empty update polynomial")
 
-    def is_affine(self) -> bool:
-        return all(len(p) <= 2 for _, _, p in self.transitions)
-
 
 @dataclass(frozen=True)
 class Bca:
@@ -126,7 +123,8 @@ def _trace(parent, conf) -> Verdict:
 def _monotone_bounds(m: Prm, dst):
     """Per-state feasibility interval for reaching dst, valid when every
     update is affine with slope >= 1 (so every path map is strictly
-    increasing in the start value).
+    increasing in the start value).  Returns (up, down), two lists
+    indexed like m.states, or None when some update is not of that form.
 
     A value v can reach (qt, vt) through (q, ax+b, q') only if
     (down(q')-b)/a <= v <= (up(q')-b)/a.  The least fixpoint of this
@@ -139,49 +137,59 @@ def _monotone_bounds(m: Prm, dst):
     """
     if not all(len(p) == 2 and p[1] >= 1 for _, _, p in m.transitions):
         return None
-    qt, vt = dst
+    index = {q: i for i, q in enumerate(m.states)}
+    trans = [(index[s], index[d], b, a) for s, d, (b, a) in m.transitions]
+    qt, vt = index[dst[0]], dst[1]
     # states that can reach qt at all; everything else is dead outright
-    preds = {}
-    for s, d, _ in m.transitions:
-        preds.setdefault(d, set()).add(s)
-    co = {qt}
+    preds = [[] for _ in m.states]
+    for s, d, _, _ in trans:
+        preds[d].append(s)
+    co = [False] * len(m.states)
+    co[qt] = True
     stack = [qt]
     while stack:
-        for s in preds.get(stack.pop(), ()):
-            if s not in co:
-                co.add(s)
+        for s in preds[stack.pop()]:
+            if not co[s]:
+                co[s] = True
                 stack.append(s)
-    edges = [(s, d, p) for s, d, p in m.transitions if s in co and d in co]
-    up = {q: NEG_INF for q in m.states}
-    down = {q: POS_INF for q in m.states}
+    edges = [e for e in trans if co[e[0]] and co[e[1]]]
+    up = [NEG_INF] * len(m.states)
+    down = [POS_INF] * len(m.states)
     up[qt] = down[qt] = vt
     # integer Kleene iteration with floor/ceil rounding; since feasible
     # register values are integers, the rounded fixpoint is still a sound
     # envelope, and rounding forces exact convergence.  Slow or divergent
     # relaxations get widened to an unbounded side, which only costs
-    # pruning precision.
+    # pruning precision.  A change is recorded as 2*state + (1 for up).
     huge = 1 << 80
 
     def relax_once():
         changed = []
-        for s, d, (b, a) in edges:
+        for s, d, b, a in edges:
             u = up[d]
             if u is not NEG_INF:
-                cand = POS_INF if u is POS_INF else (u - b) // a
-                if up[s] is not POS_INF and \
-                        (up[s] is NEG_INF or cand is POS_INF or cand > up[s]):
-                    up[s] = POS_INF if cand is not POS_INF and \
-                        abs(cand) > huge else cand
-                    changed.append((s, True))
+                us = up[s]
+                if us is not POS_INF:
+                    if u is POS_INF:
+                        up[s] = POS_INF
+                        changed.append(2 * s + 1)
+                    else:
+                        cand = (u - b) // a
+                        if us is NEG_INF or cand > us:
+                            up[s] = POS_INF if abs(cand) > huge else cand
+                            changed.append(2 * s + 1)
             w = down[d]
             if w is not POS_INF:
-                cand = NEG_INF if w is NEG_INF else -((b - w) // a)
-                if down[s] is not NEG_INF and \
-                        (down[s] is POS_INF or cand is NEG_INF or
-                         cand < down[s]):
-                    down[s] = NEG_INF if cand is not NEG_INF and \
-                        abs(cand) > huge else cand
-                    changed.append((s, False))
+                ws = down[s]
+                if ws is not NEG_INF:
+                    if w is NEG_INF:
+                        down[s] = NEG_INF
+                        changed.append(2 * s)
+                    else:
+                        cand = -((b - w) // a)
+                        if ws is POS_INF or cand < ws:
+                            down[s] = NEG_INF if abs(cand) > huge else cand
+                            changed.append(2 * s)
         return changed
 
     rounds = 60 * max(len(m.states), 4)
@@ -192,11 +200,27 @@ def _monotone_bounds(m: Prm, dst):
             if not changed:
                 return up, down
         # widen whatever is still moving and keep going to a fixpoint
-        for q, is_up in changed:
-            if is_up:
-                up[q] = POS_INF
+        for c in changed:
+            if c & 1:
+                up[c >> 1] = POS_INF
             else:
-                down[q] = NEG_INF
+                down[c >> 1] = NEG_INF
+
+
+_INF = float("inf")
+
+
+def _windows(bounds, n):
+    """(lo, hi) lists with lo[q] <= v <= hi[q] exactly when (q, v) may
+    still reach the target under the monotone bounds; an empty window
+    (lo > hi) marks a dead state."""
+    if bounds is None:
+        return [-_INF] * n, [_INF] * n
+    up, down = bounds
+    hi = [_INF if u is POS_INF else -_INF if u is NEG_INF else u for u in up]
+    lo = [-_INF if w is NEG_INF else _INF if w is POS_INF else w
+          for w in down]
+    return lo, hi
 
 
 def reach_prm(m: Prm, src, dst, budget: PrmBudget) -> Verdict:
@@ -207,57 +231,85 @@ def reach_prm(m: Prm, src, dst, budget: PrmBudget) -> Verdict:
     machines whose updates are all affine with slope >= 1, configurations
     that provably cannot reach the target (by the monotone interval
     bounds) are discarded without weakening the closure certificate.
+
+    The machine is compiled once per call: states become indices, a
+    configuration (state, value) is the int value*n + state, and each
+    state has one edge list of (transition index, dst, lo, hi, b, a),
+    where [lo, hi] is dst's monotone window and the update is a*x + b
+    (a is None and b the coefficients for degree >= 2).  Edges into dead
+    states are dropped.  The checks run in the order window, already
+    seen, magnitude cap, step budget.  A configuration cut by the cap
+    rules out a No; one cut by the budget ends the search with Unknown,
+    since nothing after it can be stored.
     """
+    n = len(m.states)
+    index = {q: i for i, q in enumerate(m.states)}
     for name, (q, _) in (("source", src), ("target", dst)):
-        if q not in m.states:
+        if q not in index:
             raise ValueError(f"{name} state {q!r} unknown")
     if src == dst:
         return Verdict("yes", witness=(), path=(src,))
-    bounds = _monotone_bounds(m, dst)
-
-    def dead(q, v):
-        if bounds is None:
-            return False
-        up, down = bounds
-        if up[q] is NEG_INF or down[q] is POS_INF:
-            return True
-        if up[q] is not POS_INF and v > up[q]:
-            return True
-        if down[q] is not NEG_INF and v < down[q]:
-            return True
-        return False
-
-    if dead(*src):
+    lo, hi = _windows(_monotone_bounds(m, dst), n)
+    q0 = index[src[0]]
+    if not lo[q0] <= src[1] <= hi[q0]:
         return no("structural")
-    out = {q: [] for q in m.states}
+    out = [[] for _ in range(n)]
     for i, (s, d, p) in enumerate(m.transitions):
-        out[s].append((i, d, p))
-    parent = {src: None}
-    frontier = [src]
+        d = index[d]
+        if lo[d] > hi[d]:
+            continue
+        if len(p) > 2:
+            b, a = p, None
+        else:
+            b, a = p[0], p[1] if len(p) == 2 else 0
+        out[index[s]].append((i, d, lo[d], hi[d], b, a))
+    cap = _INF if budget.max_magnitude is None else budget.max_magnitude
+    max_steps = budget.max_steps
+    ntrans = len(m.transitions)
+    start = src[1] * n + q0
+    goal = dst[1] * n + index[dst[0]]
+    parent = {start: None}  # key -> parent key * ntrans + transition
+    frontier = [start]
     pruned = False
     while frontier:
         nxt = []
-        for conf in frontier:
-            q, v = conf
-            for i, d, p in out[q]:
-                nc = (d, poly_eval(p, v))
-                if nc in parent or dead(*nc):
+        for key in frontier:
+            v, q = divmod(key, n)
+            for i, d, wlo, whi, b, a in out[q]:
+                nv = a * v + b if a is not None else poly_eval(b, v)
+                if not wlo <= nv <= whi:
                     continue
-                if budget.max_magnitude is not None and \
-                        abs(nc[1]) > budget.max_magnitude:
+                nkey = nv * n + d
+                if nkey in parent:
+                    continue
+                if abs(nv) > cap:
                     pruned = True
                     continue
-                if len(parent) >= budget.max_steps:
-                    # configuration budget spent; anything beyond is
-                    # unexplored, so a closure certificate is off the table
-                    pruned = True
-                    continue
-                parent[nc] = (conf, i)
-                if nc == dst:
-                    return _trace(parent, nc)
-                nxt.append(nc)
+                if len(parent) >= max_steps:
+                    # configuration budget spent: nothing more can be
+                    # stored, so neither the target nor a closure
+                    # certificate can turn up any more
+                    return unknown()
+                parent[nkey] = key * ntrans + i
+                if nkey == goal:
+                    return _trace_keys(m.states, parent, nkey, n, ntrans)
+                nxt.append(nkey)
         frontier = nxt
     return no("saturation") if not pruned else unknown()
+
+
+def _trace_keys(states, parent, key, n, ntrans) -> Verdict:
+    path, wit = [], []
+    while True:
+        v, q = divmod(key, n)
+        path.append((states[q], v))
+        link = parent[key]
+        if link is None:
+            break
+        key, i = divmod(link, ntrans)
+        wit.append(i)
+    return Verdict("yes", witness=tuple(reversed(wit)),
+                   path=tuple(reversed(path)))
 
 
 @dataclass(frozen=True)

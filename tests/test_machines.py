@@ -6,10 +6,12 @@ import random
 
 import pytest
 
-from semireach.machines import (Bca, Prm, PrmBudget, ReductionParams,
+from semireach.machines import (NEG_INF, POS_INF, Bca, Prm, PrmBudget,
+                                ReductionParams, _monotone_bounds,
                                 digit_guess_value, poly_eval, reach_bca,
                                 reach_prm, reduce_bca_to_arm,
                                 sufficient_budget)
+from semireach.problems import Verdict, no, unknown
 
 
 def test_poly_eval():
@@ -28,8 +30,6 @@ def test_machine_validation():
         Bca(("q",), 2, (("q", 3, "q"),))
     with pytest.raises(ValueError):
         Bca(("q",), -1, ())
-    assert Prm(("q",), (("q", "q", (1, 1)),)).is_affine()
-    assert not Prm(("q",), (("q", "q", (0, 0, 1)),)).is_affine()
 
 
 def test_reach_bca_basic():
@@ -83,6 +83,174 @@ def test_reach_prm_trivial_and_errors():
         reach_prm(m, ("zz", 0), ("q", 0), PrmBudget(5))
 
 
+def _reference_reach_prm(m, src, dst, budget):
+    """reach_prm as a plain breadth-first search over (state, value)
+    tuples: poly_eval on every edge, and the same check order (monotone
+    bounds, already seen, magnitude cap, step budget)."""
+    if src == dst:
+        return Verdict("yes", witness=(), path=(src,))
+    bounds = _monotone_bounds(m, dst)
+    index = {q: i for i, q in enumerate(m.states)}
+
+    def dead(q, v):
+        if bounds is None:
+            return False
+        up, down = bounds[0][index[q]], bounds[1][index[q]]
+        return (up is NEG_INF or down is POS_INF or
+                (up is not POS_INF and v > up) or
+                (down is not NEG_INF and v < down))
+
+    if dead(*src):
+        return no("structural")
+    cap = budget.max_magnitude
+    parent = {src: None}
+    frontier = [src]
+    pruned = False
+    while frontier:
+        nxt = []
+        for conf in frontier:
+            for i, (s, d, p) in enumerate(m.transitions):
+                if s != conf[0]:
+                    continue
+                nc = (d, poly_eval(p, conf[1]))
+                if dead(*nc) or nc in parent:
+                    continue
+                if cap is not None and abs(nc[1]) > cap:
+                    pruned = True
+                    continue
+                if len(parent) >= budget.max_steps:
+                    pruned = True
+                    continue
+                parent[nc] = (conf, i)
+                if nc == dst:
+                    path, wit = [nc], []
+                    while parent[nc] is not None:
+                        nc, i = parent[nc]
+                        path.append(nc)
+                        wit.append(i)
+                    return Verdict("yes", witness=tuple(reversed(wit)),
+                                   path=tuple(reversed(path)))
+                nxt.append(nc)
+        frontier = nxt
+    return unknown() if pruned else no("saturation")
+
+
+def _random_prm(rng, kind):
+    """Up to 4 states and 7 transitions.  "monotone": affine with slope
+    >= 1, so the monotone bounds are on; "free": zero, negative and
+    positive slopes and constants; "poly": "free" plus degree-2 updates."""
+    states = tuple(f"s{i}" for i in range(rng.randint(1, 4)))
+    trans = []
+    for _ in range(rng.randint(0, 7)):
+        b = rng.randint(-4, 4)
+        if kind == "monotone":
+            p = (b, rng.randint(1, 3))
+        elif kind == "poly" and rng.random() < 0.4:
+            p = (b, rng.randint(-2, 2), rng.choice((-1, 1)))
+        else:
+            p = rng.choice(((b,), (b, rng.randint(-2, 2))))
+        trans.append((rng.choice(states), rng.choice(states), p))
+    return Prm(states, tuple(trans))
+
+
+def test_reach_prm_matches_tuple_keyed_search():
+    rng = random.Random(5)
+    kinds = set()
+    for kind in ("monotone", "free", "poly") * 400:
+        m = _random_prm(rng, kind)
+        src = (rng.choice(m.states), rng.randint(-6, 6))
+        dst = (rng.choice(m.states), rng.randint(-10, 40))
+        # squaring without a cap would reach numbers of 2^40 bits
+        caps = (3, 12, 60, 500) if kind == "poly" else (None, 3, 12, 60, 500)
+        budget = PrmBudget(rng.randint(1, 40), rng.choice(caps))
+        want = _reference_reach_prm(m, src, dst, budget)
+        got = reach_prm(m, src, dst, budget)
+        # Verdict equality compares kind, witness, certificate and path
+        assert got == want, (m, src, dst, budget)
+        kinds.add((kind, got.kind, got.certificate))
+    # every outcome shows up for the bounded and the unbounded searches
+    for kind in ("monotone", "free", "poly"):
+        for outcome in (("yes", None), ("no", "saturation"),
+                        ("unknown", None)):
+            assert (kind, *outcome) in kinds, (kind, outcome)
+    assert ("monotone", "no", "structural") in kinds
+
+
+def test_reach_prm_cap_and_budget_edge_cases():
+    inc = Prm(("q",), (("q", "q", (1, 1)),))
+    square = Prm(("q", "r"), (("q", "q", (0, 0, 1)), ("q", "r", (1, 1)),
+                               ("r", "q", (-3, 1))))
+    shrink = Prm(("q",), (("q", "q", (0, -1, 1)),))
+    cases = [
+        # the source is beyond the cap: it is stored, its successor is cut
+        (inc, ("q", 100), ("q", 105), PrmBudget(50, 10), "unknown"),
+        (inc, ("q", -100), ("q", 105), PrmBudget(50, 10), "unknown"),
+        # within the cap but exhausting max_steps
+        (inc, ("q", 0), ("q", 40), PrmBudget(20, 1000), "unknown"),
+        (inc, ("q", 0), ("q", 19), PrmBudget(20, 1000), "yes"),
+        # degree 2: 2 -> 4 -> 16 -> 256 runs into the cap
+        (square, ("q", 2), ("r", 257), PrmBudget(100, 200), "unknown"),
+        (square, ("q", 2), ("r", 257), PrmBudget(100, 300), "yes"),
+        # x^2 - x: 1 -> 0 -> 0 closes; 3 -> 6 -> 30 -> 870 runs into the cap
+        (shrink, ("q", 1), ("q", 5), PrmBudget(10), "no"),
+        (shrink, ("q", 3), ("q", 5), PrmBudget(10, 40), "unknown"),
+    ]
+    for m, src, dst, budget, kind in cases:
+        got = reach_prm(m, src, dst, budget)
+        assert got.kind == kind, (m, src, dst, budget)
+        assert got == _reference_reach_prm(m, src, dst, budget)
+
+
+def _reaching_configs(m, dst, cap):
+    """Every (state, value) with |value| <= cap from which dst is reached
+    through values within the cap: a backward search, exact for affine
+    updates with nonzero slope."""
+    seen = {dst}
+    stack = [dst]
+    while stack:
+        q, v = stack.pop()
+        for s, d, (b, a) in m.transitions:
+            if d == q and (v - b) % a == 0 and abs((v - b) // a) <= cap:
+                pre = (s, (v - b) // a)
+                if pre not in seen:
+                    seen.add(pre)
+                    stack.append(pre)
+    return seen
+
+
+def test_monotone_bounds_are_sound():
+    rng = random.Random(9)
+    for _ in range(300):
+        m = _random_prm(rng, "monotone")
+        dst = (rng.choice(m.states), rng.randint(-20, 20))
+        up, down = _monotone_bounds(m, dst)
+        for q, v in _reaching_configs(m, dst, 400):
+            i = m.states.index(q)
+            assert up[i] is not NEG_INF and down[i] is not POS_INF
+            assert up[i] is POS_INF or v <= up[i], (m, dst, q, v)
+            assert down[i] is NEG_INF or v >= down[i], (m, dst, q, v)
+    assert _monotone_bounds(Prm(("q",), (("q", "q", (1, 0)),)),
+                            ("q", 0)) is None
+
+
+def test_monotone_bounds_widening_is_pinned():
+    # p -> p by x - 1 raises up(p) by one each round and r -> r by x + 1
+    # lowers down(r), so after 60 * 4 rounds those two sides are widened
+    # to unbounded; the other sides settle.  q -> t by 2x + 1 never hits
+    # 6: rounding down (6 - 1) / 2 and up gives the empty window [3, 2]
+    m = Prm(("p", "q", "r", "t"),
+            (("p", "p", (-1, 1)), ("p", "t", (0, 1)), ("q", "t", (1, 2)),
+             ("r", "r", (1, 1)), ("r", "t", (0, 1))))
+    assert _monotone_bounds(m, ("t", 6)) == ([POS_INF, 2, 6, 6],
+                                             [6, 3, NEG_INF, 6])
+    assert reach_prm(m, ("r", -50), ("t", 6), PrmBudget(100)).is_yes
+    assert reach_prm(m, ("r", 7), ("t", 6), PrmBudget(100)).is_no
+    assert reach_prm(m, ("p", 50), ("t", 6), PrmBudget(100)).is_yes
+    assert reach_prm(m, ("p", 5), ("t", 6), PrmBudget(100)).is_no
+    assert reach_prm(m, ("q", 2), ("t", 6), PrmBudget(100)).certificate \
+        == "structural"
+
+
 def test_reduction_params():
     p = ReductionParams.for_bound(2)
     assert (p.j, p.B, p.K) == (2, 3, 7)
@@ -123,7 +291,7 @@ def test_reduce_bca_to_arm_preserves_reachability():
         dst = (rng.choice(m.states), rng.randint(0, m.bound))
         want = reach_bca(m, src, dst)
         red = reduce_bca_to_arm(m, src, dst)
-        assert red.machine.is_affine()
+        assert all(len(p) <= 2 for _, _, p in red.machine.transitions)
         got = reach_prm(red.machine, red.source, red.target,
                         sufficient_budget(red))
         assert got.definitive, (m, src, dst)
