@@ -1,6 +1,6 @@
-"""Inter-reductions between affine-function problems and matrix problems,
-the Turing reduction from rational affine reachability to vector
-reachability, and multi-subset-sum hardness-instance generators."""
+"""Encodings of affine-function problems as matrix problems, the Turing
+reduction from rational affine reachability to vector reachability, and
+multi-subset-sum hardness-instance generators."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import problems as P
-from .core import AffineMap, Mat2, UTMat, Vec2
+from .core import Mat2, UTMat, Vec2
 from .problems import ProblemInstance, Verdict, no, unknown
 
 
@@ -37,39 +37,6 @@ def encode_affine(inst: ProblemInstance) -> ProblemInstance:
             x=Vec2(xf.numerator, xf.denominator),
             y=Vec2(yf.denominator, -yf.numerator))
     raise ValueError(f"not an affine-tagged instance: {p}")
-
-
-def decode_affine(inst: ProblemInstance) -> ProblemInstance:
-    """Inverse of encode_affine on canonically encoded instances."""
-    p = inst.problem
-    gens = inst.generators
-    if p == P.MATRIX_MEMBERSHIP:
-        if not all(isinstance(m, UTMat) and m.c == 1 for m in gens) or \
-           not (isinstance(inst.target, UTMat) and inst.target.c == 1):
-            raise ValueError("not an encoded integer affine membership instance")
-        return ProblemInstance(
-            P.AFFINE_MEMBERSHIP_Z,
-            tuple(AffineMap(m.a, m.b) for m in gens),
-            target=AffineMap(inst.target.a, inst.target.b))
-    if p == P.VECTOR_REACHABILITY:
-        if not all(isinstance(m, UTMat) and m.c == 1 for m in gens) or \
-           inst.x.v2 != 1 or inst.y.v2 != 1:
-            raise ValueError("not an encoded integer affine reachability instance")
-        return ProblemInstance(
-            P.AFFINE_REACHABILITY_Z,
-            tuple(AffineMap(m.a, m.b) for m in gens),
-            x=inst.x.v1, y=inst.y.v1)
-    if p == P.ZERO_REACHABILITY:
-        if not all(isinstance(m, UTMat) for m in gens):
-            raise ValueError("not an encoded rational affine reachability instance")
-        if inst.x.v2 == 0 or inst.y.v1 == 0:
-            raise ValueError("degenerate start or target encoding")
-        return ProblemInstance(
-            P.AFFINE_REACHABILITY_Q,
-            tuple(AffineMap.make(m.a, m.b, m.c, "Q") for m in gens),
-            x=Fraction(inst.x.v1, inst.x.v2),
-            y=Fraction(-inst.y.v2, inst.y.v1))
-    raise ValueError(f"cannot decode problem {p}")
 
 
 def reduce_affQ_to_vecreach(inst: ProblemInstance) -> list[ProblemInstance]:

@@ -20,9 +20,9 @@ from typing import Optional, Union
 import click
 
 from . import problems as P
-from .bridge import GEN_HARD_VARIANTS, gen_hard
+from .bridge import GEN_HARD_VARIANTS, encode_affine, gen_hard
 from .core import AffineMap, Mat2, UTMat, Vec2
-from .detpm1 import solve_detminus1, solve_detpm1
+from .detpm1 import solve_detpm1
 from .machines import (Bca, Prm, PrmBudget, poly_eval, reach_bca,
                        reach_prm, reduce_bca_to_arm)
 from .mortality import solve_mortality
@@ -255,18 +255,9 @@ def _all_ut(inst) -> bool:
 _MATRIX_PROBLEMS = (P.MATRIX_MEMBERSHIP,) + _VECTOR_TAGS
 
 
-def _detminus1_ok(inst) -> bool:
-    return inst.problem in _MATRIX_PROBLEMS and _all_ut(inst) \
-        and all(g.det() == -1 for g in inst.generators)
-
-
 def _detpm1_ok(inst) -> bool:
-    if inst.problem not in _MATRIX_PROBLEMS or not _all_ut(inst):
-        return False
-    if not all(g.det() in (1, -1) for g in inst.generators):
-        return False
-    return inst.problem != P.MATRIX_MEMBERSHIP \
-        or inst.target.det() in (1, -1)
+    return inst.problem in _MATRIX_PROBLEMS and _all_ut(inst) \
+        and all(g.det() in (1, -1) for g in inst.generators)
 
 
 def _utmember_ok(inst) -> bool:
@@ -297,8 +288,6 @@ def _solve_machines(mi: MachineInstance, budget: Budget,
 ROUTES = (
     ("machines", lambda inst: isinstance(inst, MachineInstance),
      _solve_machines),
-    ("detminus1", _detminus1_ok,
-     lambda inst, budget, prm: solve_detminus1(inst)),
     ("detpm1", _detpm1_ok,
      lambda inst, budget, prm: solve_detpm1(inst)),
     ("utmember", _utmember_ok,
@@ -317,10 +306,27 @@ ROUTES = (
 SOLVER_NAMES = ("auto",) + tuple(name for name, _, _ in ROUTES)
 
 
+def _rewrite(inst):
+    """The instance the routes see.  Integer affine questions become
+    their matrix encodings, and mortality over upper-triangular
+    generators becomes membership of the zero matrix.  The generator
+    list is kept, so a witness for the rewrite replays on the original.
+    """
+    if not isinstance(inst, ProblemInstance):
+        return inst
+    if inst.problem in (P.AFFINE_MEMBERSHIP_Z, P.AFFINE_REACHABILITY_Z):
+        return encode_affine(inst)
+    if inst.problem == P.MORTALITY and _all_ut(inst):
+        return ProblemInstance(P.MATRIX_MEMBERSHIP, inst.generators,
+                               target=UTMat(0, 0, 0))
+    return inst
+
+
 def dispatch(inst, solver: str, budget: Budget, prm: PrmBudget):
-    """Run the named route, or under "auto" the first route whose
-    precondition holds.  Returns (verdict, route name); a named route
-    whose precondition fails raises SchemaError."""
+    """Rewrite the instance, then run the named route, or under "auto"
+    the first route whose precondition holds.  Returns (verdict, route
+    name); a named route whose precondition fails raises SchemaError."""
+    inst = _rewrite(inst)
     for name, applies, run in ROUTES:
         if solver in ("auto", name) and applies(inst):
             return run(inst, budget, prm), name
@@ -629,8 +635,8 @@ def xcheck(count, seed, family, max_len, max_magnitude, max_steps):
     budget = Budget(max_len, max_magnitude)
     prm = PrmBudget(max_steps, max_magnitude)
     report = {"count": count, "seed": seed, "family": family,
-              "disagreements": 0, "unknown": 0, "bad-witnesses": 0,
-              "details": []}
+              "disagreements": 0, "unknown": 0, "solver-unknown": 0,
+              "oracle-unknown": 0, "bad-witnesses": 0, "details": []}
     for idx in range(count):
         inst = random_instance(rng, family)
         verdict, used = dispatch(inst, "auto", budget, prm)
@@ -641,6 +647,8 @@ def xcheck(count, seed, family, max_len, max_magnitude, max_steps):
             report["details"].append(
                 {"index": idx, "solver": used, "kind": "bad-witness",
                  "instance": serialize_instance(inst)})
+        report["solver-unknown"] += not verdict.definitive
+        report["oracle-unknown"] += not oracle.definitive
         if not verdict.definitive or not oracle.definitive:
             report["unknown"] += 1
         elif verdict.is_yes != oracle.is_yes:

@@ -1,8 +1,7 @@
 """Exact solvers for upper-triangular generator sets whose determinants
 are all +-1: a sign-pair weighted automaton whose run values capture
 top-right entries, semilinear run-value sets, and budget-free decision
-procedures for membership, vector reachability, and scalar reachability
-(with a dedicated polynomial-time path when every determinant is -1).
+procedures for membership, vector reachability, and scalar reachability.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import problems as P
-from .core import UTMat, Vec2
+from .core import UTMat
 from .diophantine import (LinearSystem, SemilinearSet, combo_value_set,
                           nonneg_combination, solve_linear)
 from .problems import ProblemInstance, Verdict, no, yes
@@ -279,7 +278,8 @@ def _solve_scalar(inst, lam, member_word, diag_word) -> Verdict:
 
 def solve_detpm1(inst: ProblemInstance) -> Verdict:
     """Exact Yes/No for membership, vector reachability, and scalar
-    (or zero) reachability when every generator has determinant +-1."""
+    (or zero) reachability when every generator has determinant +-1.
+    A membership target whose determinant is not +-1 is a structural No."""
     gens = list(inst.generators)
     _check_dets(gens, {1, -1})
 
@@ -291,10 +291,9 @@ def solve_detpm1(inst: ProblemInstance) -> Verdict:
 
     p = inst.problem
     if p == P.MATRIX_MEMBERSHIP:
-        tgt = inst.target
-        if not isinstance(tgt, UTMat) or tgt.det() not in (1, -1):
-            raise ValueError("membership target must have determinant +-1")
-        word = member_word(tgt)
+        if not isinstance(inst.target, UTMat):
+            raise ValueError("membership target must be upper-triangular")
+        word = member_word(inst.target)
         return yes(word) if word is not None else no("structural")
     if p == P.VECTOR_REACHABILITY:
         return _solve_vector(inst, member_word, diag_word)
@@ -303,137 +302,3 @@ def solve_detpm1(inst: ProblemInstance) -> Verdict:
         return _solve_scalar(inst, lam, member_word, diag_word)
     raise ValueError(f"unsupported problem {p!r}")
 
-
-# ---------------------------------------------------------------------------
-# All-determinants--1 generator sets: polynomial time, no search at all.
-
-
-@dataclass(frozen=True)
-class DetMinusOneSummary:
-    """Structure of the even-length products.
-
-    Pairwise products of determinant--1 generators have diagonal (1,1)
-    or (-1,-1); g is the gcd of the (1,1)-diagonal top-right entries
-    (0 if none are nonzero) and S the set of (-1,-1)-diagonal top-right
-    entries.  S is closed under negation.
-    """
-
-    g: int
-    S: frozenset
-    Mprime: tuple
-
-
-def _pair_products(gens):
-    """[(sign, top-right, (i, j))] over all ordered generator pairs."""
-    out = []
-    for i, A in enumerate(gens):
-        for j, B in enumerate(gens):
-            prod = A * B
-            assert abs(prod.a) == 1 and prod.a == prod.c
-            out.append((prod.a, prod.b, (i, j)))
-    return out
-
-
-def detminus1_summary(gens) -> DetMinusOneSummary:
-    _check_dets(gens, {-1})
-    pairs = _pair_products(gens)
-    g = 0
-    S = set()
-    for eps, b, _ in pairs:
-        if eps == 1:
-            g = gcd(g, b)
-        else:
-            S.add(b)
-    summary = DetMinusOneSummary(g, frozenset(S),
-                                 tuple(UTMat(e, b, e) for e, b, _ in pairs))
-    assert summary.S == frozenset(-v for v in summary.S)
-    return summary
-
-
-def _even_word(gens, pairs, d, b):
-    """Word for the even-length product (d b; 0 d), d in {1,-1}, or None.
-
-    The top-right of a product of +-diagonal pair blocks is
-    d * sum(eps_i * v_i) over the chosen blocks, independent of order,
-    and d = (-1)^(number of (-1,-1) blocks); so existence is one exact
-    nonnegative-combination query.
-    """
-    r = 0 if d == 1 else 1
-    coeffs = [eps * v for eps, v, _ in pairs]
-    flips = [eps == -1 for eps, _, _ in pairs]
-    counts = nonneg_combination(coeffs, d * b, flips, r)
-    if counts is None:
-        return None
-    word = []
-    for (_, _, (i, j)), n in zip(pairs, counts):
-        word += [i, j] * n
-    return word
-
-
-def solve_detminus1(inst: ProblemInstance) -> Verdict:
-    """Exact Yes/No when every generator has determinant -1.
-
-    Even-length products reduce to pairwise-product combinations; odd
-    lengths peel one generator off via its integral inverse.  Never
-    returns Unknown.
-    """
-    gens = list(inst.generators)
-    _check_dets(gens, {-1})
-    pairs = _pair_products(gens)
-    have = {(g.a, g.c) for g in gens}
-    mixed = len(have) == 2  # both (1,-1) and (-1,1) present
-
-    def member_word(target):
-        s, t = target.a, target.c
-        if abs(s) != 1 or abs(t) != 1:
-            return None
-        if s == t:
-            return _even_word(gens, pairs, s, target.b)
-        for i, A in enumerate(gens):
-            inv = UTMat(-A.c, A.b, -A.a)  # A's integral inverse
-            rest = inv * target
-            word = _even_word(gens, pairs, rest.a, rest.b)
-            if word is not None:
-                return [i] + word
-        return None
-
-    def diag_word(s, t):
-        if (s, t) == (1, 1):
-            return []
-        if s * t == -1:
-            for i, A in enumerate(gens):
-                if (A.a, A.c) == (s, t):
-                    return [i]
-            if not mixed:
-                return None
-            k = next(i for i, A in enumerate(gens) if (A.a, A.c) == (-s, -t))
-            i, j = _mixed_pair(gens)
-            return [i, j, k]
-        if not mixed:
-            return None
-        i, j = _mixed_pair(gens)
-        return [i, j]
-
-    p = inst.problem
-    if p == P.MATRIX_MEMBERSHIP:
-        tgt = inst.target
-        if not isinstance(tgt, UTMat):
-            return no("structural")
-        word = member_word(tgt)
-        if word is not None:
-            assert _word_product(gens, word) == tgt
-            return yes(word)
-        return no("structural")
-    if p == P.VECTOR_REACHABILITY:
-        return _solve_vector(inst, member_word, diag_word)
-    if p in (P.SCALAR_REACHABILITY, P.ZERO_REACHABILITY):
-        lam = 0 if p == P.ZERO_REACHABILITY else inst.lam
-        return _solve_scalar(inst, lam, member_word, diag_word)
-    raise ValueError(f"unsupported problem {p!r}")
-
-
-def _mixed_pair(gens):
-    """(i, j) with gens[i]*gens[j] of diagonal (-1,-1)."""
-    i = next(k for k, A in enumerate(gens) if (A.a, A.c) == (1, -1))
-    j = next(k for k, A in enumerate(gens) if (A.a, A.c) == (-1, 1))
-    return i, j

@@ -1,13 +1,11 @@
 """Upper-triangular solvers beyond the determinant-+-1 fragment: vector
 reachability when every bottom-right entry is nonzero, membership for
-nonzero diagonals and for one allowed diagonal zero, the case analysis
-reducing general membership to scalar reachability, the sign-invariant
-scalar-to-membership reduction, and the mortality shortcut.
+nonzero diagonals and for one allowed diagonal zero, and the case
+analysis reducing general membership to scalar reachability.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import problems as P
@@ -19,20 +17,6 @@ from .diophantine import SemilinearSet, nonneg_combination
 from .machines import Prm, PrmBudget, reach_prm
 from .oracle import oracle_solve
 from .problems import Budget, ProblemInstance, Verdict, no, yes
-
-
-@dataclass(frozen=True)
-class CaseSplit:
-    """Generator partition and boundary matrices of the sign-invariant
-    scalar-to-membership reduction."""
-
-    A: tuple  # bottom-right zero
-    B: tuple  # top-left zero
-    C: tuple  # the rest
-    X: UTMat
-    Y: UTMat
-    Aprime: tuple
-    Bprime: tuple
 
 
 def _require(gens, field, label):
@@ -381,17 +365,15 @@ def _signed_divisors(n):
     return sorted(divs + [-d for d in divs], key=lambda d: (abs(d), -d))
 
 
-def reduce_membership_to_scalar(gens, target: UTMat,
-                                budget: Budget,
-                                prm_budget: Optional[PrmBudget] = None) \
-        -> Verdict:
+def reduce_membership_to_scalar(gens, target: UTMat, budget: Budget,
+                                prm_budget: PrmBudget) -> Verdict:
     """Membership for arbitrary upper-triangular generators, split on
     the target shape; the both-diagonal-zeros case is answered through
     scalar-reachability queries solved by the search oracle.
     """
-    if prm_budget is None:
-        prm_budget = PrmBudget(max_steps=4096, max_magnitude=10 ** 9)
     if target.is_zero():
+        # a product is zero iff some factor kills the top-left entry and
+        # some factor kills the bottom-right one
         ia = next((i for i, g in enumerate(gens) if g.a == 0), None)
         ic = next((i for i, g in enumerate(gens) if g.c == 0), None)
         if ia is not None and ic is not None:
@@ -447,59 +429,3 @@ def reduce_membership_to_scalar(gens, target: UTMat,
                     verdicts.append(v)
     return disjunction(verdicts) if verdicts else no("structural")
 
-
-# ---------------------------------------------------------------------------
-# Sign-invariant scalar reachability to membership
-
-
-def build_case_split(gens, x: Vec2, y: Vec2) -> CaseSplit:
-    A = tuple(g for g in gens if g.c == 0)
-    B = tuple(g for g in gens if g.a == 0 and g.c != 0)
-    C = tuple(g for g in gens if g.a != 0 and g.c != 0)
-    return CaseSplit(
-        A=A, B=B, C=C,
-        X=UTMat(0, x.v1, x.v2), Y=UTMat(y.v1, y.v2, 0),
-        Aprime=A if abs(y.v1) == 1 else (),
-        Bprime=B if abs(x.v2) == 1 else ())
-
-
-def reduce_signinv_scalar_to_membership(gens, x: Vec2, y: Vec2):
-    """Membership queries whose disjunction decides whether some product
-    M of the generators satisfies y^T M x in {-1, 1}."""
-    cs = build_case_split(gens, x, y)
-    if x.v2 == 0 or y.v1 == 0:
-        # y^T M x collapses to y1*M11*x1 (resp. y2*M22*x2), so the answer
-        # is +-1-reachable iff the identity already achieves it; an
-        # unguarded query would let a lone X or Y factor fake a hit
-        if abs(y.v1 * x.v1 + y.v2 * x.v2) != 1:
-            return cs, []
-    queries = []
-    for A in cs.Aprime + (cs.Y,):
-        for B in cs.Bprime + (cs.X,):
-            if A.a == 0 and A is not cs.Y and abs(x.v2) != 1:
-                # a generator with zero diagonal absorbs its whole context
-                # into y1*b*x2; with |x2| != 1 no genuine product through
-                # it reaches +-1, yet the bare generator equals the target
-                continue
-            for sign in (1, -1):
-                queries.append(ProblemInstance(
-                    P.MATRIX_MEMBERSHIP, cs.C + (A, B),
-                    target=UTMat(0, sign, 0)))
-    return cs, queries
-
-
-def solve_signinv_scalar(gens, x: Vec2, y: Vec2, budget: Budget) -> Verdict:
-    """Answer the sign-invariant scalar question by running the reduced
-    membership queries through the search oracle."""
-    _, queries = reduce_signinv_scalar_to_membership(gens, x, y)
-    return disjunction([oracle_solve(q, budget) for q in queries])
-
-
-# ---------------------------------------------------------------------------
-# Mortality restricted to upper-triangular generators
-
-
-def ut_mortality(gens) -> bool:
-    """The zero matrix is reachable iff some generator kills the
-    top-left and some generator kills the bottom-right."""
-    return any(g.a == 0 for g in gens) and any(g.c == 0 for g in gens)

@@ -15,17 +15,17 @@ from semireach.bridge import (GEN_HARD_VARIANTS, disjunction, encode_affine,
                               subset_sum_dp)
 from semireach.cli import dispatch, main, random_instance, replay_instance
 from semireach.core import AffineMap, Mat2, UTMat, Vec2
-from semireach.detpm1 import detminus1_summary, solve_detminus1, solve_detpm1
+from semireach.detpm1 import solve_detpm1
 from semireach.machines import (Bca, digit_guess_value, reach_bca, reach_prm,
                                 reduce_bca_to_arm, sufficient_budget)
 from semireach.machines import PrmBudget
 from semireach.mortality import solve_mortality, stabilizer_basis
 from semireach.oracle import oracle_solve, replay
 from semireach.problems import Budget, ProblemInstance
-from semireach.utsolvers import (reduce_membership_to_scalar,
-                                 solve_signinv_scalar)
+from semireach.utsolvers import reduce_membership_to_scalar
 
 B8 = Budget(8, 10 ** 6)
+PB = PrmBudget(4096, 10 ** 9)
 
 
 def _report(num: int, label: str, ok: bool):
@@ -52,8 +52,8 @@ def test_criterion_2_detminus1_exactness():
         target = UTMat(rng.choice((1, -1)), rng.randint(-5, 5),
                        rng.choice((1, -1)))
         inst = ProblemInstance(P.MATRIX_MEMBERSHIP, gens, target=target)
-        got = solve_detminus1(inst)
-        if not got.definitive:
+        got, route = dispatch(inst, "auto", B8, PB)
+        if route != "detpm1" or not got.definitive:
             ok = False
             break
         if got.is_yes and not replay(inst, got.witness):
@@ -183,10 +183,21 @@ def test_criterion_7_pairwise_product_structure():
     ok = True
     for _ in range(50):
         k = rng.randint(1, 4)
-        gens = [UTMat(s, rng.randint(-3, 3), -s)
-                for s in (rng.choice((1, -1)) for _ in range(k))]
-        summary = detminus1_summary(gens)
-        g, S = summary.g, sorted(summary.S) or [0]
+        gens = tuple(UTMat(s, rng.randint(-3, 3), -s)
+                     for s in (rng.choice((1, -1)) for _ in range(k)))
+        # products of two determinant -1 factors: diagonal (1,1) entries
+        # generate the lattice gZ, the (-1,-1) ones form the set S
+        pairs = [A * B for A in gens for B in gens]
+        g = 0
+        S = set()
+        for p in pairs:
+            if (p.a, p.c) == (1, 1):
+                g = gcd(g, p.b)
+            else:
+                S.add(p.b)
+        if S != {-v for v in S}:
+            ok = False
+        S = sorted(S) or [0]
         # achievable top-right residues for m minus-class factors
         sums = {0: {0}}
         for m in (1, 2, 3):
@@ -202,11 +213,19 @@ def test_criterion_7_pairwise_product_structure():
         prods = [(UTMat(1, 0, 1), 0)]
         for _ in range(3):
             prods = [(p * q, m + (1 if q.a == -1 else 0))
-                     for p, m in prods for q in summary.Mprime]
+                     for p, m in prods for q in pairs]
             for p, m in prods:
                 if (p.a, p.c) != ((-1) ** m, (-1) ** m):
                     ok = False
                 if not matches(p.b * p.a, m):
+                    ok = False
+            # every enumerated product is a member, found by the router
+            for target in {p for p, _ in prods}:
+                inst = ProblemInstance(P.MATRIX_MEMBERSHIP, gens,
+                                       target=target)
+                v, _ = dispatch(inst, "auto", B8, PB)
+                if not v.is_yes or \
+                        replay_instance(inst, v.witness) is not None:
                     ok = False
             if not ok:
                 break
@@ -350,10 +369,12 @@ def test_criterion_10_reduction_equivalences():
         inst = ProblemInstance(P.MATRIX_MEMBERSHIP, gens, target=target)
         if not _agree(oracle_solve(inst, small),
                       reduce_membership_to_scalar(list(gens), target,
-                                                  small)):
+                                                  small, PB)):
             ok = False
 
-    # sign-invariant scalar reachability vs direct product sweep
+    # sign-invariant scalar reachability (|y^T M x| = 1) as the
+    # disjunction of the routed lambda = +1 and lambda = -1 questions, vs
+    # a direct product sweep
     mats = [UTMat(a, b, c) for a in (-1, 0, 1) for b in (-1, 0, 1)
             for c in (-1, 0, 1)]
     for _ in range(200):
@@ -373,7 +394,9 @@ def test_criterion_10_reduction_equivalences():
             if not level:
                 truth = False
                 break
-        got = solve_signinv_scalar(gens, x, y, small)
+        got = disjunction([dispatch(ProblemInstance(
+            P.SCALAR_REACHABILITY, gens, x=x, y=y, lam=lam),
+            "auto", small, PB)[0] for lam in (1, -1)])
         if truth is True and not got.is_yes:
             ok = False
         if truth is False and got.is_yes:

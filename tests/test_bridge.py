@@ -1,4 +1,5 @@
-"""Affine/matrix inter-reductions and hardness generators."""
+"""Affine-to-matrix encodings, the rational affine reduction, and
+hardness generators."""
 
 import itertools
 import random
@@ -7,11 +8,10 @@ from fractions import Fraction
 import pytest
 
 from semireach import problems as P
-from semireach.bridge import (decode_affine, disjunction, encode_affine,
-                              gen_hard, reduce_affQ_to_vecreach,
-                              subset_sum_dp)
+from semireach.bridge import (disjunction, encode_affine, gen_hard,
+                              reduce_affQ_to_vecreach, subset_sum_dp)
 from semireach.core import AffineMap, Mat2, UTMat, Vec2
-from semireach.oracle import oracle_solve
+from semireach.oracle import oracle_solve, replay
 from semireach.problems import Budget, ProblemInstance, no, unknown, yes
 
 B = Budget(8, 10 ** 6)
@@ -57,7 +57,9 @@ def test_encode_rejects_degenerate_target():
         encode_affine(inst)
 
 
-def test_decode_inverts_encode():
+def test_encoding_witness_replays_on_affine_instance():
+    # the encoding keeps the generators in order, so a word found for the
+    # matrix instance is a witness for the affine one
     cases = [
         ProblemInstance(P.AFFINE_MEMBERSHIP_Z, (AffineMap(2, 1),),
                         target=AffineMap(4, 3)),
@@ -68,7 +70,8 @@ def test_decode_inverts_encode():
                         x=Fraction(1), y=Fraction(1, 4)),
     ]
     for inst in cases:
-        assert decode_affine(encode_affine(inst)) == inst
+        v = oracle_solve(encode_affine(inst), B)
+        assert v.is_yes and replay(inst, v.witness), inst
 
 
 def test_encode_preserves_oracle_answer():

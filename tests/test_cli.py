@@ -96,8 +96,8 @@ def test_parse_rejects_malformed_documents():
 
 def test_dispatch_routing_order():
     budget, prm = Budget(8, 10 ** 6), PrmBudget(1024, 10 ** 6)
-    assert SOLVER_NAMES == ("auto", "machines", "detminus1", "detpm1",
-                            "utmember", "utvec", "mortality", "oracle")
+    assert SOLVER_NAMES == ("auto", "machines", "detpm1", "utmember",
+                            "utvec", "mortality", "oracle")
     bca = MachineInstance(BCA_REACHABILITY,
                           Bca(("p",), 1, (("p", 1, "p"),)),
                           ("p", 0), ("p", 1))
@@ -111,15 +111,16 @@ def test_dispatch_routing_order():
                           x=Vec2(0, 1), y=Vec2(1, 3))
     mo = ProblemInstance(P.MORTALITY, (Mat2(1, 1, 0, 1), Mat2(0, 0, 0, 0)))
     gen_mat = ProblemInstance(P.MORTALITY, (Mat2(0, 1, 1, 0),))  # det -1
-    by_route = {"machines": bca, "detminus1": m1, "detpm1": pm,
-                "utmember": ut, "utvec": vec, "mortality": mo,
-                "oracle": gen_mat}
+    by_route = {"machines": bca, "detpm1": pm, "utmember": ut,
+                "utvec": vec, "mortality": mo, "oracle": gen_mat}
     for route, inst in by_route.items():
         assert dispatch(inst, "auto", budget, prm)[1] == route
         assert dispatch(inst, route, budget, prm)[1] == route
+    # all-determinant -1 generators take the determinant +-1 route
+    assert dispatch(m1, "auto", budget, prm)[1] == "detpm1"
     assert dispatch(pm, "oracle", budget, prm)[1] == "oracle"
     with pytest.raises(SchemaError):
-        dispatch(pm, "detminus1", budget, prm)  # determinant is +1
+        dispatch(ut, "detpm1", budget, prm)  # determinant is 2
     with pytest.raises(SchemaError):
         dispatch(pm, "machines", budget, prm)
     with pytest.raises(SchemaError):
@@ -133,11 +134,76 @@ def test_upper_triangular_mortality_agrees_with_oracle():
         inst = parse_instance({"problem": P.MORTALITY,
                                "generators": gens_doc})
         verdict, route = dispatch(inst, "auto", budget, prm)
-        assert route == "mortality" and verdict.definitive
+        assert route == "utmember" and verdict.definitive
         oracle = oracle_solve(inst, budget)
         assert not oracle.definitive or oracle.kind == verdict.kind
         if verdict.is_yes:
             assert replay_instance(inst, verdict.witness) is None
+
+
+def test_upper_triangular_mortality_structural_no():
+    # det 6 and det 0: no generator kills the top-left entry, so no
+    # product is zero; the search alone cannot tell
+    budget, prm = Budget(8, 10 ** 6), PrmBudget(1024, 10 ** 6)
+    inst = ProblemInstance(P.MORTALITY, (UTMat(2, 1, 3), UTMat(1, 1, 0)))
+    verdict, route = dispatch(inst, "auto", budget, prm)
+    assert route == "utmember"
+    assert verdict.is_no and verdict.certificate == "structural"
+    assert not oracle_solve(inst, budget).definitive
+
+
+def test_integer_affine_reachability_routes_to_detpm1():
+    budget, prm = Budget(8, 10 ** 6), PrmBudget(1024, 10 ** 6)
+    inst = ProblemInstance(P.AFFINE_REACHABILITY_Z,
+                           (AffineMap(1, 3), AffineMap(1, 5)), x=0, y=1000)
+    assert not oracle_solve(inst, budget).definitive
+    verdict, route = dispatch(inst, "auto", budget, prm)
+    assert route == "detpm1" and verdict.is_yes
+    assert replay_instance(inst, verdict.witness) is None
+
+
+def _random_affine_z(rng):
+    """Integer affine membership or reachability: slopes -3..3, so
+    constant maps too; targets planted from the generators 60% of the
+    time."""
+    fs = tuple(AffineMap(rng.randint(-3, 3), rng.randint(-3, 3))
+               for _ in range(rng.randint(0, 3)))
+    if rng.random() < 0.5:
+        t = AffineMap(1, 0)
+        if rng.random() < 0.6:
+            for _ in range(rng.randint(0, 4)):
+                if fs:
+                    t = t.compose(rng.choice(fs))
+        else:
+            t = AffineMap(rng.randint(-3, 3), rng.randint(-9, 9))
+        return ProblemInstance(P.AFFINE_MEMBERSHIP_Z, fs, target=t)
+    x = y = rng.randint(-5, 5)
+    if rng.random() < 0.6:
+        for _ in range(rng.randint(0, 4)):
+            if fs:
+                y = rng.choice(fs).apply(y)
+    else:
+        y = rng.randint(-9, 9)
+    return ProblemInstance(P.AFFINE_REACHABILITY_Z, fs, x=x, y=y)
+
+
+def test_integer_affine_sweep_agrees_with_oracle():
+    rng = random.Random(61)
+    budget, prm = Budget(8, 10 ** 6), PrmBudget(4096, 10 ** 6)
+    routes, decided = set(), 0
+    for _ in range(700):
+        inst = _random_affine_z(rng)
+        verdict, route = dispatch(inst, "auto", budget, prm)
+        routes.add(route)
+        oracle = oracle_solve(inst, budget)
+        if verdict.is_yes:
+            assert replay_instance(inst, verdict.witness) is None, inst
+        if oracle.definitive:
+            assert verdict.kind == oracle.kind, inst
+        elif verdict.definitive:
+            decided += 1
+    assert routes == {"detpm1", "utmember", "utvec"}
+    assert decided > 0
 
 
 def test_solve_routes_gen_hard_to_detpm1(tmp_path):
@@ -170,11 +236,11 @@ def test_gen_multisubsetsum_matches_library(tmp_path):
 
 def test_forced_solver_precondition_violation_exits_3(tmp_path):
     runner = CliRunner()
-    inst = ProblemInstance(P.MATRIX_MEMBERSHIP, (UTMat(1, 3, 1),),
-                           target=UTMat(1, 6, 1))
+    inst = ProblemInstance(P.MATRIX_MEMBERSHIP, (UTMat(2, 1, 1),),
+                           target=UTMat(4, 3, 1))
     f = tmp_path / "i.json"
     f.write_text(json.dumps(serialize_instance(inst)))
-    res = runner.invoke(main, ["solve", str(f), "--solver", "detminus1"])
+    res = runner.invoke(main, ["solve", str(f), "--solver", "detpm1"])
     assert res.exit_code == 3
 
 
@@ -296,3 +362,14 @@ def test_xcheck_clean_on_exact_families():
         assert res.exit_code == 0, res.output
         doc = json.loads(res.output)
         assert doc["disagreements"] == 0 and doc["bad-witnesses"] == 0
+
+
+def test_xcheck_splits_unknown_by_side():
+    res = CliRunner().invoke(main, ["xcheck", "--count", "60", "--seed", "1",
+                                    "--family", "detpm1"])
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    # the determinant +-1 solver never gives Unknown; the oracle does
+    assert doc["solver-unknown"] == 0
+    assert doc["oracle-unknown"] > 0
+    assert doc["unknown"] == doc["oracle-unknown"]

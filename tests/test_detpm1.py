@@ -1,5 +1,6 @@
-"""Sign-pair automaton, run-value sets, and the exact solvers for
-determinant +-1 and all-determinant--1 generator sets."""
+"""Sign-pair automaton, run-value sets, and the exact solver for
+determinant +-1 generator sets, which the router also sends every
+all-determinant--1 generator set."""
 
 import itertools
 import random
@@ -7,10 +8,11 @@ import random
 import pytest
 
 from semireach import problems as P
+from semireach.cli import dispatch
 from semireach.core import UTMat, Vec2
-from semireach.detpm1 import (SIGN_STATES, build_zvass, detminus1_summary,
-                              realize_run, solve_detminus1, solve_detpm1,
-                              value_set)
+from semireach.detpm1 import (SIGN_STATES, build_zvass, realize_run,
+                              solve_detpm1, value_set)
+from semireach.machines import PrmBudget
 from semireach.oracle import oracle_solve, replay
 from semireach.problems import Budget, ProblemInstance
 
@@ -105,9 +107,10 @@ def test_solve_detpm1_membership_examples():
     with pytest.raises(ValueError):
         solve_detpm1(ProblemInstance(P.MATRIX_MEMBERSHIP, (UTMat(2, 0, 1),),
                                      target=UTMat(1, 0, 1)))
-    with pytest.raises(ValueError):
-        solve_detpm1(ProblemInstance(P.MATRIX_MEMBERSHIP, (UTMat(1, 0, 1),),
+    # a target of determinant 2 is no product of determinant +-1 factors
+    v = solve_detpm1(ProblemInstance(P.MATRIX_MEMBERSHIP, (UTMat(1, 0, 1),),
                                      target=UTMat(2, 0, 1)))
+    assert v.is_no and v.certificate == "structural"
 
 
 def test_solve_detpm1_vector_and_scalar():
@@ -158,30 +161,42 @@ def test_solve_detpm1_cross_check():
             assert got.is_yes == want.is_yes, inst
 
 
-def test_detminus1_summary_example():
-    s = detminus1_summary([UTMat(1, 1, -1), UTMat(-1, 0, 1)])
-    assert s.g == 0
-    assert s.S == frozenset({1, -1})
-    assert len(s.Mprime) == 4
-    assert all((m.a, m.c) in ((1, 1), (-1, -1)) for m in s.Mprime)
-    with pytest.raises(ValueError):
-        detminus1_summary([UTMat(1, 0, 1)])
+def _routed(inst):
+    """Verdict of the auto router, which must pick detpm1."""
+    v, route = dispatch(inst, "auto", Budget(8, 10 ** 6),
+                        PrmBudget(1024, 10 ** 6))
+    assert route == "detpm1", inst
+    return v
 
 
-def test_solve_detminus1_examples():
+def test_det_minus_one_pair_products_example():
+    gens = (UTMat(1, 1, -1), UTMat(-1, 0, 1))
+    pairs = [A * B for A in gens for B in gens]
+    assert len(pairs) == 4
+    assert all((m.a, m.c) in ((1, 1), (-1, -1)) for m in pairs)
+    # (1,1)-diagonal pair products have top-right 0, the others +-1
+    assert {m.b for m in pairs if m.a == 1} == {0}
+    assert {m.b for m in pairs if m.a == -1} == {1, -1}
+    for m in pairs:
+        inst = ProblemInstance(P.MATRIX_MEMBERSHIP, gens, target=m)
+        v = _routed(inst)
+        assert v.is_yes and replay(inst, v.witness)
+
+
+def test_det_minus_one_examples():
     g = (UTMat(1, 3, -1),)
     yes_t = ProblemInstance(P.MATRIX_MEMBERSHIP, g, target=UTMat(1, 3, -1))
-    v = solve_detminus1(yes_t)
+    v = _routed(yes_t)
     assert v.is_yes and replay(yes_t, v.witness)
-    assert solve_detminus1(ProblemInstance(
+    assert _routed(ProblemInstance(
         P.MATRIX_MEMBERSHIP, g, target=UTMat(1, 0, -1))).is_no
 
     g2 = (UTMat(1, 1, -1), UTMat(-1, 0, 1))
-    assert solve_detminus1(ProblemInstance(
+    assert _routed(ProblemInstance(
         P.MATRIX_MEMBERSHIP, g2, target=UTMat(1, 5, 1))).is_no
-    assert solve_detminus1(ProblemInstance(
+    assert _routed(ProblemInstance(
         P.MATRIX_MEMBERSHIP, g2, target=UTMat.identity())).is_yes
-    assert solve_detminus1(ProblemInstance(
+    assert _routed(ProblemInstance(
         P.MATRIX_MEMBERSHIP, g, target=UTMat.identity())).is_yes
 
 
@@ -203,17 +218,15 @@ def _random_m1_instance(rng):
     return ProblemInstance(p, gens, x=x, y=y)
 
 
-def test_solve_detminus1_cross_check_and_agreement_with_detpm1():
+def test_det_minus_one_cross_check():
     rng = random.Random(23)
     B = Budget(8, 10 ** 6)
     for _ in range(150):
         inst = _random_m1_instance(rng)
-        got = solve_detminus1(inst)
+        got = _routed(inst)
         assert got.definitive
         if got.is_yes:
             assert replay(inst, got.witness), inst
-        alt = solve_detpm1(inst)
-        assert alt.is_yes == got.is_yes, inst
         want = oracle_solve(inst, B)
         if want.definitive:
             assert got.is_yes == want.is_yes, inst
@@ -224,7 +237,7 @@ def test_detminus1_never_unknown_on_large_entries():
     g = (UTMat(1, 10 ** 9, -1), UTMat(-1, 10 ** 9 + 7, 1))
     inst = ProblemInstance(P.MATRIX_MEMBERSHIP, g,
                            target=UTMat(1, 7, 1))
-    v = solve_detminus1(inst)
+    v = _routed(inst)
     assert v.definitive
     if v.is_yes:
         assert replay(inst, v.witness)

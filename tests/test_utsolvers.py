@@ -1,6 +1,7 @@
 """Upper-triangular solvers: vector reachability with nonzero
 bottom-rights, membership variants, the scalar-reachability case split,
-the sign-invariant reduction, and the mortality shortcut."""
+and, through the router, sign-invariant scalar reachability and
+upper-triangular mortality."""
 
 import itertools
 import math
@@ -10,17 +11,17 @@ import time
 import pytest
 
 from semireach import problems as P
+from semireach.bridge import disjunction
+from semireach.cli import dispatch
 from semireach.core import UTMat, Vec2
 from semireach.machines import PrmBudget
 from semireach.oracle import oracle_solve, replay
 from semireach.problems import Budget, ProblemInstance
-from semireach.utsolvers import (_signed_divisors, build_case_split,
+from semireach.utsolvers import (_signed_divisors,
                                  reduce_membership_to_scalar,
-                                 reduce_signinv_scalar_to_membership,
                                  solve_membership_nonzero_diag,
                                  solve_membership_one_zero,
-                                 solve_signinv_scalar, solve_vecreach_ut22,
-                                 ut_mortality)
+                                 solve_vecreach_ut22)
 
 PB = PrmBudget(4096, 10 ** 9)
 B = Budget(8, 10 ** 6)
@@ -193,16 +194,16 @@ def test_membership_one_zero_cross_check():
 
 def test_reduce_membership_to_scalar_examples():
     gens = (UTMat(0, 1, 1), UTMat(1, 0, 0))
-    v = reduce_membership_to_scalar(gens, UTMat(0, 0, 0), B)
+    v = reduce_membership_to_scalar(gens, UTMat(0, 0, 0), B, PB)
     assert v.is_yes and replay(_member(gens, UTMat(0, 0, 0)), v.witness)
     assert reduce_membership_to_scalar((UTMat(1, 1, 1),),
-                                       UTMat(0, 0, 0), B).is_no
+                                       UTMat(0, 0, 0), B, PB).is_no
 
     gens2 = (UTMat(0, 1, 0), UTMat(2, 0, 1))
     t = UTMat(0, 2, 0)
-    v = reduce_membership_to_scalar(gens2, t, B)
+    v = reduce_membership_to_scalar(gens2, t, B, PB)
     assert v.is_yes and replay(_member(gens2, t), v.witness)
-    assert reduce_membership_to_scalar(gens2, UTMat(0, 5, 0), B).is_no
+    assert reduce_membership_to_scalar(gens2, UTMat(0, 5, 0), B, PB).is_no
 
 
 def test_reduce_membership_to_scalar_cross_check():
@@ -212,7 +213,7 @@ def test_reduce_membership_to_scalar_cross_check():
         gens = tuple(UTMat(rng.randint(-2, 2), rng.randint(-2, 2),
                            rng.randint(-2, 2)) for _ in range(k))
         t = UTMat(rng.randint(-3, 3), rng.randint(-4, 4), rng.randint(-3, 3))
-        got = reduce_membership_to_scalar(gens, t, B)
+        got = reduce_membership_to_scalar(gens, t, B, PB)
         inst = _member(gens, t)
         if got.is_yes:
             assert replay(inst, got.witness), inst
@@ -231,37 +232,39 @@ def test_double_zero_target_divisors_scale():
     gens = (UTMat(3, 1, 0), UTMat(0, 1, 5))
     t = UTMat(0, 10 ** 8, 0)
     start = time.perf_counter()
-    v = reduce_membership_to_scalar(gens, t, B)
+    v = reduce_membership_to_scalar(gens, t, B, PB)
     assert time.perf_counter() - start < 2.0
     if v.is_yes:
         assert replay(_member(gens, t), v.witness)
 
 
-def test_case_split_partition():
-    gens = (UTMat(1, 2, 0), UTMat(0, 1, 3), UTMat(1, 1, 1), UTMat(0, 1, 0))
-    cs = build_case_split(gens, Vec2(5, 1), Vec2(2, 7))
-    assert cs.A == (UTMat(1, 2, 0), UTMat(0, 1, 0))
-    assert cs.B == (UTMat(0, 1, 3),)
-    assert cs.C == (UTMat(1, 1, 1),)
-    assert cs.X == UTMat(0, 5, 1) and cs.Y == UTMat(2, 7, 0)
-    assert cs.Aprime == ()  # |y1| = 2
-    assert cs.Bprime == cs.B  # |x2| = 1
+def _scalar(gens, x, y, lam):
+    return ProblemInstance(P.SCALAR_REACHABILITY, tuple(gens), x=x, y=y,
+                           lam=lam)
+
+
+def _signinv(gens, x, y, budget):
+    """Is |y^T M x| = 1 for some product M?  The disjunction of the
+    routed scalar-reachability questions for lambda = +1 and -1; a Yes
+    must replay on one of them."""
+    v = disjunction([dispatch(_scalar(gens, x, y, lam), "auto", budget,
+                              PB)[0] for lam in (1, -1)])
+    if v.is_yes:
+        assert any(replay(_scalar(gens, x, y, lam), v.witness)
+                   for lam in (1, -1)), (gens, x, y)
+    return v
 
 
 def test_signinv_reduction_examples():
-    cs, qs = reduce_signinv_scalar_to_membership((UTMat(1, 1, 1),),
-                                                 Vec2(0, 1), Vec2(1, 0))
-    assert cs.Y == UTMat(1, 0, 0) and cs.X == UTMat(0, 0, 1)
-    assert cs.Y * UTMat(1, 1, 1) * cs.X == UTMat(0, 1, 0)
-    assert solve_signinv_scalar((UTMat(1, 1, 1),), Vec2(0, 1), Vec2(1, 0),
-                                B).is_yes
-    # parity obstruction: values are always even; the oracle cannot
-    # saturate the infinite monoid, so the verdict stays short of Yes
-    v = solve_signinv_scalar((UTMat(1, 1, 1),), Vec2(0, 2), Vec2(1, 0), B)
-    assert not v.is_yes
+    # y^T (1 k; 0 1)^n x = n*k with k = 1
+    assert _signinv((UTMat(1, 1, 1),), Vec2(0, 1), Vec2(1, 0), B).is_yes
+    # parity obstruction: values are always even, and the determinant
+    # +-1 route proves it
+    v = _signinv((UTMat(1, 1, 1),), Vec2(0, 2), Vec2(1, 0), B)
+    assert v.is_no
     # empty generator set, degenerate x2 = 0: identity already scores 1
-    assert solve_signinv_scalar((), Vec2(1, 0), Vec2(1, 0), B).is_yes
-    assert solve_signinv_scalar((), Vec2(1, 0), Vec2(2, 0), B).is_no
+    assert _signinv((), Vec2(1, 0), Vec2(1, 0), B).is_yes
+    assert _signinv((), Vec2(1, 0), Vec2(2, 0), B).is_no
 
 
 def _signinv_truth(gens, x, y, maxlen):
@@ -290,7 +293,7 @@ def test_signinv_reduction_equivalence_exhaustive_tiny():
         x = Vec2(rng.randint(-2, 2), rng.randint(-2, 2))
         y = Vec2(rng.randint(-2, 2), rng.randint(-2, 2))
         truth = _signinv_truth(gens, x, y, 6)
-        got = solve_signinv_scalar(gens, x, y, Budget(6, 10 ** 4))
+        got = _signinv(gens, x, y, Budget(6, 10 ** 4))
         if truth is True:
             assert got.is_yes, (gens, x, y)
             checked += 1
@@ -306,8 +309,16 @@ def test_signinv_reduction_equivalence_exhaustive_tiny():
 
 
 def test_ut_mortality():
-    assert ut_mortality((UTMat(0, 1, 1), UTMat(1, 0, 0)))
-    assert not ut_mortality((UTMat(1, 5, 2),))
-    assert not ut_mortality((UTMat(0, 1, 1),))
-    assert ut_mortality((UTMat(0, 1, 0),))
-    assert not ut_mortality(())
+    def mortal(gens):
+        inst = ProblemInstance(P.MORTALITY, gens)
+        v, route = dispatch(inst, "auto", B, PB)
+        assert route in ("detpm1", "utmember") and v.definitive, gens
+        if v.is_yes:
+            assert replay(inst, v.witness), gens
+        return v.is_yes
+
+    assert mortal((UTMat(0, 1, 1), UTMat(1, 0, 0)))
+    assert not mortal((UTMat(1, 5, 2),))
+    assert not mortal((UTMat(0, 1, 1),))
+    assert mortal((UTMat(0, 1, 0),))
+    assert not mortal(())
