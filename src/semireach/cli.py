@@ -15,6 +15,7 @@ import sys
 import traceback
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Union
 
 import click
@@ -103,7 +104,7 @@ def _enc_affine(f: AffineMap):
     return {"a": _enc_int(f.a), "b": _enc_int(f.b), "c": _enc_int(f.c)}
 
 
-def _dec_affine(doc, domain: str) -> AffineMap:
+def _dec_affine(domain: str, doc) -> AffineMap:
     if not isinstance(doc, dict) or set(doc) - {"a", "b", "c"}:
         raise SchemaError(f"bad affine map encoding {doc!r}")
     return AffineMap.make(_dec_int(doc["a"]), _dec_int(doc["b"]),
@@ -156,10 +157,28 @@ def _dec_config(doc):
     return (doc[0], _dec_int(doc[1]))
 
 
-_AFFINE_TAGS = (P.AFFINE_MEMBERSHIP_Z, P.AFFINE_REACHABILITY_Z,
-                P.AFFINE_REACHABILITY_Q)
 _VECTOR_TAGS = (P.VECTOR_REACHABILITY, P.SCALAR_REACHABILITY,
                 P.ZERO_REACHABILITY)
+
+_INT = (_enc_int, _dec_int)
+
+
+def _codec(tag):
+    """((encode, decode) for generators, ((field, document key, encode,
+    decode), ...) for the fields of problems.FIELDS[tag])."""
+    if tag == P.AFFINE_REACHABILITY_Q:
+        gen, num = (_enc_affine, partial(_dec_affine, "Q")), \
+            (_enc_rat, _dec_rat)
+    elif tag in (P.AFFINE_MEMBERSHIP_Z, P.AFFINE_REACHABILITY_Z):
+        gen, num = (_enc_affine, partial(_dec_affine, "Z")), _INT
+    else:
+        gen, num = (_enc_matrix, _dec_matrix), (_enc_vec, _dec_vec)
+    by_field = {"target": gen, "x": num, "y": num, "lam": _INT}
+    return gen, tuple((f, "lambda" if f == "lam" else f) + by_field[f]
+                      for f in P.FIELDS[tag])
+
+
+_CODECS = {tag: _codec(tag) for tag in P.FIELDS}
 
 
 def serialize_instance(inst) -> dict:
@@ -168,24 +187,11 @@ def serialize_instance(inst) -> dict:
                 "machine": _enc_machine(inst.machine),
                 "x": _enc_config(inst.source),
                 "y": _enc_config(inst.target)}
-    p = inst.problem
-    doc = {"problem": p}
-    if p in _AFFINE_TAGS:
-        doc["generators"] = [_enc_affine(f) for f in inst.generators]
-        if p == P.AFFINE_MEMBERSHIP_Z:
-            doc["target"] = _enc_affine(inst.target)
-        elif p == P.AFFINE_REACHABILITY_Z:
-            doc["x"], doc["y"] = _enc_int(inst.x), _enc_int(inst.y)
-        else:
-            doc["x"], doc["y"] = _enc_rat(inst.x), _enc_rat(inst.y)
-        return doc
-    doc["generators"] = [_enc_matrix(m) for m in inst.generators]
-    if p == P.MATRIX_MEMBERSHIP:
-        doc["target"] = _enc_matrix(inst.target)
-    elif p in _VECTOR_TAGS:
-        doc["x"], doc["y"] = _enc_vec(inst.x), _enc_vec(inst.y)
-        if p == P.SCALAR_REACHABILITY:
-            doc["lambda"] = _enc_int(inst.lam)
+    (enc_gen, _), fields = _CODECS[inst.problem]
+    doc = {"problem": inst.problem,
+           "generators": [enc_gen(g) for g in inst.generators]}
+    for name, key, enc, _ in fields:
+        doc[key] = enc(getattr(inst, name))
     return doc
 
 
@@ -198,38 +204,19 @@ def parse_instance(doc):
             return MachineInstance(p, _dec_machine(doc.get("machine"), p),
                                    _dec_config(doc.get("x")),
                                    _dec_config(doc.get("y")))
-        return _parse_fields(doc, p)
+        if p not in _CODECS:
+            raise SchemaError(f"unknown problem tag {p!r}")
+        (_, dec_gen), fields = _CODECS[p]
+        gens_doc = doc.get("generators", [])
+        if not isinstance(gens_doc, list):
+            raise SchemaError("generators must be a list")
+        return ProblemInstance(p, tuple(dec_gen(g) for g in gens_doc),
+                               **{name: dec(doc[key])
+                                  for name, key, _, dec in fields})
     except KeyError as e:
         raise SchemaError(f"missing field {e.args[0]!r}") from None
     except (TypeError, ValueError) as e:
         raise SchemaError(str(e)) from None
-
-
-def _parse_fields(doc, p):
-    if p not in P.PROBLEM_TAGS:
-        raise SchemaError(f"unknown problem tag {p!r}")
-    gens_doc = doc.get("generators", [])
-    if not isinstance(gens_doc, list):
-        raise SchemaError("generators must be a list")
-    kw = {}
-    if p in _AFFINE_TAGS:
-        domain = "Q" if p == P.AFFINE_REACHABILITY_Q else "Z"
-        gens = tuple(_dec_affine(g, domain) for g in gens_doc)
-        if p == P.AFFINE_MEMBERSHIP_Z:
-            kw["target"] = _dec_affine(doc["target"], domain)
-        elif p == P.AFFINE_REACHABILITY_Z:
-            kw["x"], kw["y"] = _dec_int(doc["x"]), _dec_int(doc["y"])
-        else:
-            kw["x"], kw["y"] = _dec_rat(doc["x"]), _dec_rat(doc["y"])
-    else:
-        gens = tuple(_dec_matrix(g) for g in gens_doc)
-        if p == P.MATRIX_MEMBERSHIP:
-            kw["target"] = _dec_matrix(doc["target"])
-        elif p in _VECTOR_TAGS:
-            kw["x"], kw["y"] = _dec_vec(doc["x"]), _dec_vec(doc["y"])
-            if p == P.SCALAR_REACHABILITY:
-                kw["lam"] = _dec_int(doc["lambda"])
-    return ProblemInstance(p, gens, **kw)
 
 
 def serialize_result(verdict: Verdict, solver: str, budget: dict) -> dict:
@@ -500,7 +487,26 @@ def _crash():
     _fail(f"internal error: {sys.exc_info()[1]!r}")
 
 
-@click.group()
+class _Cli(click.Group):
+    """Usage errors (a bad option value, a missing argument) exit 3 like
+    every other error; click's own exit code 2 would read as "unknown"."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as e:
+            e.exit_code = 3
+            raise
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as e:
+            e.exit_code = 3
+            raise
+
+
+@click.group(cls=_Cli)
 def main():
     """Decision procedures for 2x2 matrix and affine reachability."""
 
@@ -516,9 +522,9 @@ def main():
               help="stored-configuration cap for register-machine search")
 def solve(instance, solver, max_len, max_magnitude, max_steps):
     """Solve the instance in INSTANCE (a JSON file, or - for stdin)."""
-    budget = Budget(max_len, max_magnitude)
-    prm = PrmBudget(max_steps, max_magnitude)
     try:
+        budget = Budget(max_len, max_magnitude)
+        prm = PrmBudget(max_steps, max_magnitude)
         inst = parse_instance(_read_json(instance))
         verdict, used = dispatch(inst, solver, budget, prm)
     except (SchemaError, ValueError) as e:
@@ -632,31 +638,37 @@ def xcheck(count, seed, family, max_len, max_magnitude, max_steps):
     """Cross-check the routed solver against the brute-force oracle on
     seeded random instances and report definitive disagreements."""
     rng = random.Random(seed)
-    budget = Budget(max_len, max_magnitude)
-    prm = PrmBudget(max_steps, max_magnitude)
     report = {"count": count, "seed": seed, "family": family,
               "disagreements": 0, "unknown": 0, "solver-unknown": 0,
               "oracle-unknown": 0, "bad-witnesses": 0, "details": []}
-    for idx in range(count):
-        inst = random_instance(rng, family)
-        verdict, used = dispatch(inst, "auto", budget, prm)
-        oracle = oracle_solve(inst, budget)
-        if verdict.is_yes and replay_instance(inst, verdict.witness) \
-                is not None:
-            report["bad-witnesses"] += 1
-            report["details"].append(
-                {"index": idx, "solver": used, "kind": "bad-witness",
-                 "instance": serialize_instance(inst)})
-        report["solver-unknown"] += not verdict.definitive
-        report["oracle-unknown"] += not oracle.definitive
-        if not verdict.definitive or not oracle.definitive:
-            report["unknown"] += 1
-        elif verdict.is_yes != oracle.is_yes:
-            report["disagreements"] += 1
-            report["details"].append(
-                {"index": idx, "solver": used, "kind": "disagreement",
-                 "solver-verdict": verdict.kind, "oracle": oracle.kind,
-                 "instance": serialize_instance(inst)})
+    try:
+        budget = Budget(max_len, max_magnitude)
+        prm = PrmBudget(max_steps, max_magnitude)
+    except ValueError as e:
+        _fail(str(e))
+    try:
+        for idx in range(count):
+            inst = random_instance(rng, family)
+            verdict, used = dispatch(inst, "auto", budget, prm)
+            oracle = oracle_solve(inst, budget)
+            if verdict.is_yes and replay_instance(inst, verdict.witness) \
+                    is not None:
+                report["bad-witnesses"] += 1
+                report["details"].append(
+                    {"index": idx, "solver": used, "kind": "bad-witness",
+                     "instance": serialize_instance(inst)})
+            report["solver-unknown"] += not verdict.definitive
+            report["oracle-unknown"] += not oracle.definitive
+            if not verdict.definitive or not oracle.definitive:
+                report["unknown"] += 1
+            elif verdict.is_yes != oracle.is_yes:
+                report["disagreements"] += 1
+                report["details"].append(
+                    {"index": idx, "solver": used, "kind": "disagreement",
+                     "solver-verdict": verdict.kind, "oracle": oracle.kind,
+                     "instance": serialize_instance(inst)})
+    except Exception:
+        _crash()  # exit 1 would read as a disagreement
     click.echo(json.dumps(report, indent=2))
     sys.exit(0 if report["disagreements"] == 0
              and report["bad-witnesses"] == 0 else 1)

@@ -48,13 +48,6 @@ class Mat2:
     def det(self) -> int:
         return self.m11 * self.m22 - self.m12 * self.m21
 
-    def rank(self) -> int:
-        if self.det() != 0:
-            return 2
-        if self.m11 == self.m12 == self.m21 == self.m22 == 0:
-            return 0
-        return 1
-
     def is_zero(self) -> bool:
         return self.m11 == self.m12 == self.m21 == self.m22 == 0
 
@@ -65,10 +58,6 @@ class Mat2:
     @staticmethod
     def identity() -> "Mat2":
         return Mat2(1, 0, 0, 1)
-
-    @staticmethod
-    def zero() -> "Mat2":
-        return Mat2(0, 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -108,9 +97,6 @@ class UTMat:
 class Vec2:
     v1: int
     v2: int
-
-    def __neg__(self) -> "Vec2":
-        return Vec2(-self.v1, -self.v2)
 
     def is_zero(self) -> bool:
         return self.v1 == 0 and self.v2 == 0

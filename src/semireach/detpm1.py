@@ -93,7 +93,7 @@ def _flip_part_classes(cls, S, T):
         rv = (rn + (1 if S < 0 else 0)) % 2
         if (rn and not idx_n) or (ru and not idx_u) or (rv and not idx_v):
             continue
-        sys = LinearSystem((row,), (rm,), ("free",) * nvars,
+        sys = LinearSystem((row,), (rm,),
                            ((idx_n, rn), (idx_u, ru), (idx_v, rv)))
         yield sys
 
@@ -156,10 +156,10 @@ def realize_run(gens, frm, to, value):
     for sys in _flip_part_classes(cls, S, T):
         rows = sys.rows + (tuple(weights),)
         rhs = sys.rhs + (w,)
-        res = solve_linear(LinearSystem(rows, rhs, sys.flags, sys.parities))
+        res = solve_linear(LinearSystem(rows, rhs, sys.parities))
         if res.kind != "some":
             continue
-        bal = list(res.assignment)
+        bal = list(res.particular)
         flip_idx = [i for i, (k, _) in enumerate(cls) if k in "uv"]
         pos = {i: max(bal[i], 0) for i in flip_idx}
         neg = {i: max(-bal[i], 0) for i in flip_idx}
@@ -205,6 +205,8 @@ def _membership_word(gens, target: UTMat):
 
 def _diag_word(gens, s, t):
     """Word whose product has diagonal (s, t), any top-right, or None."""
+    if (s, t) == (1, 1):
+        return []  # the empty product
     v = build_zvass(gens)
     vs = value_set(v, (1, 1), (s, t))
     if vs.is_empty():
@@ -222,55 +224,17 @@ def _check_dets(gens, allowed):
                              f"{sorted(allowed)}")
 
 
-def _solve_vector(inst, member_word, diag_word) -> Verdict:
-    """Vector reachability given membership/diagonal-existence deciders.
-
-    A product (s a; 0 t) maps x to (s*x1 + a*x2, t*x2); each admissible
-    sign pair determines the top-right entry (or leaves it free when
-    x2 = 0), so the question splits into at most four exact queries.
-    """
-    x, y = inst.x, inst.y
-    if x.v2 != 0:
-        if y.v2 % x.v2 != 0:
-            return no("structural")
-        t = y.v2 // x.v2
-        if abs(t) != 1:
-            return no("structural")
-        for s in (1, -1):
-            num = y.v1 - s * x.v1
-            if num % x.v2 != 0:
-                continue
-            word = member_word(UTMat(s, num // x.v2, t))
-            if word is not None:
-                return yes(word)
-        return no("structural")
-    if y.v2 != 0:
-        return no("structural")
-    if x.v1 == 0:
-        return yes(()) if y.v1 == 0 else no("structural")
-    if y.v1 % x.v1 != 0 or abs(y.v1 // x.v1) != 1:
-        return no("structural")
-    s = y.v1 // x.v1
-    for t in (1, -1):
-        word = diag_word(s, t)
-        if word is not None:
-            return yes(word)
-    return no("structural")
-
-
-def _solve_scalar(inst, lam, member_word, diag_word) -> Verdict:
-    """Scalar reachability y^T (s a; 0 t) x = lam, by the same four-way
-    sign split; the top-right coefficient is x2*y1."""
-    x, y = inst.x, inst.y
-    k = x.v2 * y.v1
-    for s, t in SIGN_STATES:
-        rem = lam - s * x.v1 * y.v1 - t * x.v2 * y.v2
-        if k != 0:
-            if rem % k != 0:
-                continue
-            word = member_word(UTMat(s, rem // k, t))
+def _sign_split(gens, constraints) -> Verdict:
+    """Yes with the first word found for a constraint (s, t, k, rem),
+    else a structural No.  Each constraint asks for a product
+    (s a; 0 t) with k*a == rem: a membership query when k != 0, a
+    diagonal query when k == rem == 0."""
+    for s, t, k, rem in constraints:
+        if k:
+            word = _membership_word(gens, UTMat(s, rem // k, t)) \
+                if rem % k == 0 else None
         else:
-            word = diag_word(s, t) if rem == 0 else None
+            word = _diag_word(gens, s, t) if rem == 0 else None
         if word is not None:
             return yes(word)
     return no("structural")
@@ -279,26 +243,26 @@ def _solve_scalar(inst, lam, member_word, diag_word) -> Verdict:
 def solve_detpm1(inst: ProblemInstance) -> Verdict:
     """Exact Yes/No for membership, vector reachability, and scalar
     (or zero) reachability when every generator has determinant +-1.
-    A membership target whose determinant is not +-1 is a structural No."""
+    A membership target whose determinant is not +-1 is a structural No.
+
+    A product (s a; 0 t) maps x to (s*x1 + a*x2, t*x2), and
+    y^T (s a; 0 t) x == s*x1*y1 + a*x2*y1 + t*x2*y2, so vector and
+    scalar questions split into one constraint on a per sign pair."""
     gens = list(inst.generators)
     _check_dets(gens, {1, -1})
-
-    def member_word(target):
-        return _membership_word(gens, target)
-
-    def diag_word(s, t):
-        return _diag_word(gens, s, t)
-
-    p = inst.problem
+    p, x, y = inst.problem, inst.x, inst.y
     if p == P.MATRIX_MEMBERSHIP:
         if not isinstance(inst.target, UTMat):
             raise ValueError("membership target must be upper-triangular")
-        word = member_word(inst.target)
+        word = _membership_word(gens, inst.target)
         return yes(word) if word is not None else no("structural")
     if p == P.VECTOR_REACHABILITY:
-        return _solve_vector(inst, member_word, diag_word)
+        return _sign_split(gens, ((s, t, x.v2, y.v1 - s * x.v1)
+                                  for s, t in SIGN_STATES
+                                  if t * x.v2 == y.v2))
     if p in (P.SCALAR_REACHABILITY, P.ZERO_REACHABILITY):
         lam = 0 if p == P.ZERO_REACHABILITY else inst.lam
-        return _solve_scalar(inst, lam, member_word, diag_word)
+        return _sign_split(gens, ((s, t, x.v2 * y.v1,
+                                   lam - s * x.v1 * y.v1 - t * x.v2 * y.v2)
+                                  for s, t in SIGN_STATES))
     raise ValueError(f"unsupported problem {p!r}")
-

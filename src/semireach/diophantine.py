@@ -1,11 +1,10 @@
 """Exact integer linear algebra: Hermite normal form, linear systems over Z
-with nonnegativity/parity side constraints, and one-dimensional semilinear
-(arithmetic progression) sets."""
+with parity side constraints, nonnegative integer combinations, and
+one-dimensional semilinear (arithmetic progression) sets."""
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from math import gcd
@@ -58,45 +57,37 @@ def hnf(A: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
     return H, U
 
 
-def _mat_vec(A, x):
-    return [sum(a * b for a, b in zip(row, x)) for row in A]
-
-
 # ---------------------------------------------------------------------------
 # Linear systems over Z
 
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Rows * x == rhs over Z, with per-variable free/nonneg flags and
-    optional parity constraints (sum over an index set == r mod 2)."""
+    """Rows * x == rhs over Z with free variables and optional parity
+    constraints (sum over an index set == r mod 2).  At least one row;
+    a zero row poses no equation."""
 
     rows: tuple
     rhs: tuple
-    flags: tuple = ()  # "free" | "nonneg" per variable; default all free
     parities: tuple = ()  # ((indices...), r) pairs
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
         object.__setattr__(self, "rhs", tuple(self.rhs))
-        nvars = len(self.rows[0]) if self.rows else len(self.flags)
-        flags = tuple(self.flags) if self.flags else ("free",) * nvars
-        object.__setattr__(self, "flags", flags)
         object.__setattr__(
             self, "parities",
             tuple((tuple(ix), r % 2) for ix, r in self.parities))
-        if len(self.rows) != len(self.rhs):
+        if not self.rows or len(self.rows) != len(self.rhs):
             raise ValueError("row/rhs dimension mismatch")
-        if any(len(r) != len(flags) for r in self.rows):
-            raise ValueError("row/flag dimension mismatch")
+        if any(len(r) != len(self.rows[0]) for r in self.rows):
+            raise ValueError("rows of unequal length")
 
 
 @dataclass(frozen=True)
 class LinearResult:
-    kind: str  # "some" | "none" | "unknown"
-    assignment: Optional[tuple] = None
-    particular: Optional[tuple] = None  # general solution, free systems only
-    basis: tuple = ()
+    kind: str  # "some" | "none"
+    particular: Optional[tuple] = None  # one solution
+    basis: tuple = ()  # the solutions are particular + the span of basis
 
 
 def _solve_free(rows, rhs) -> Optional[tuple[list[int], list[list[int]]]]:
@@ -130,16 +121,11 @@ def _solve_free(rows, rhs) -> Optional[tuple[list[int], list[list[int]]]]:
     return part, basis
 
 
-def solve_linear(sys: LinearSystem, box_bound: int = 40,
-                 max_nodes: int = 2_000_000) -> LinearResult:
-    """Solve a linear system over Z.
-
-    Parity constraints become extra equations with fresh free variables.
-    Fully free systems are decided exactly (with a general-solution
-    description); nonneg-flagged systems are searched over a bounded box
-    of the solution lattice and may come back unknown.
-    """
-    nvars = len(self_flags := sys.flags)
+def solve_linear(sys: LinearSystem) -> LinearResult:
+    """Decide a linear system over Z exactly, with a general-solution
+    description.  Parity constraints become extra equations with fresh
+    free variables."""
+    nvars = len(sys.rows[0])
     extra = len(sys.parities)
     rows = [list(r) + [0] * extra for r in sys.rows]
     rhs = list(sys.rhs)
@@ -150,33 +136,12 @@ def solve_linear(sys: LinearSystem, box_bound: int = 40,
         row[nvars + k] = -2
         rows.append(row)
         rhs.append(r)
-    total = nvars + extra
-    if not rows:
-        rows = [[0] * total]
-        rhs = [0]
     sol = _solve_free(rows, rhs)
     if sol is None:
         return LinearResult("none")
     part, basis = sol
-    if all(f == "free" for f in self_flags):
-        return LinearResult("some",
-                            assignment=tuple(part[:nvars]),
-                            particular=tuple(part[:nvars]),
-                            basis=tuple(tuple(h[:nvars]) for h in basis))
-    nonneg = [i for i, f in enumerate(self_flags) if f == "nonneg"]
-    if all(part[i] >= 0 for i in nonneg):
-        return LinearResult("some", assignment=tuple(part[:nvars]))
-    r = len(basis)
-    if r == 0:
-        return LinearResult("none")
-    if (2 * box_bound + 1) ** r > max_nodes:
-        return LinearResult("unknown")
-    for combo in itertools.product(range(-box_bound, box_bound + 1), repeat=r):
-        x = [part[i] + sum(c * basis[j][i] for j, c in enumerate(combo))
-             for i in range(total)]
-        if all(x[i] >= 0 for i in nonneg):
-            return LinearResult("some", assignment=tuple(x[:nvars]))
-    return LinearResult("unknown")
+    return LinearResult("some", particular=tuple(part[:nvars]),
+                        basis=tuple(tuple(h[:nvars]) for h in basis))
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +313,10 @@ def _mixed_combination(coeffs, target, flips, parity):
     rhs = [target]
     parities = [(tuple(i for i, f in enumerate(flips) if f), parity)]
     res = solve_linear(LinearSystem(tuple(rows), tuple(rhs),
-                                    ("free",) * len(coeffs),
                                     tuple(parities)))
     if res.kind != "some":
         return None
-    z = list(res.assignment)
+    z = list(res.particular)
     ip = next(i for i, c in enumerate(coeffs) if c > 0)
     im = next(i for i, c in enumerate(coeffs) if c < 0)
     cp, cm = coeffs[ip], coeffs[im]
@@ -411,13 +375,6 @@ class SemilinearSet:
     def singleton(v: int) -> "SemilinearSet":
         return SemilinearSet(((v, 0),))
 
-    @staticmethod
-    def of_progression(base: int, *periods: int) -> "SemilinearSet":
-        s = SemilinearSet(((base, 0),))
-        for p in periods:
-            s = s.sum(SemilinearSet(((0, p),)))
-        return s
-
     def is_empty(self) -> bool:
         return not self.components
 
@@ -427,19 +384,12 @@ class SemilinearSet:
     def union(self, other: "SemilinearSet") -> "SemilinearSet":
         return SemilinearSet(self.components + other.components)
 
-    def shift(self, d: int) -> "SemilinearSet":
-        return SemilinearSet(tuple((b + d, s) for b, s in self.components))
-
     def sum(self, other: "SemilinearSet") -> "SemilinearSet":
         comps = []
         for b1, s1 in self.components:
             for b2, s2 in other.components:
                 comps.extend(_ray_sum(b1, s1, b2, s2))
         return SemilinearSet(tuple(comps))
-
-    def agrees_with(self, predicate, lo: int, hi: int) -> bool:
-        """Sampling comparison against a membership predicate."""
-        return all(self.member(t) == predicate(t) for t in range(lo, hi + 1))
 
 
 def _ray_member(b: int, s: int, t: int) -> bool:
@@ -528,7 +478,7 @@ def combo_value_set(coeffs: Sequence[int],
         flagged = tuple(i for i, f in enumerate(flips) if f)
         comps = []
         for q in parities:
-            res = solve_linear(LinearSystem((), (), ("free",) * len(coeffs),
+            res = solve_linear(LinearSystem(((0,) * len(coeffs),), (0,),
                                             ((flagged, q),)))
             if res.kind != "some":
                 continue

@@ -82,6 +82,39 @@ def _matrix_gens(inst: ProblemInstance):
             Mat2.identity())
 
 
+def _action(inst: ProblemInstance):
+    """(start, generators, step, hit, mode) of the monoid action that
+    decides inst: step(s, j) moves state s by generator j, hit says
+    whether a state answers the question, and mode says which side of
+    the witness a step adds to (see _search).
+    """
+    p = inst.problem
+    if p in (P.MATRIX_MEMBERSHIP, P.MORTALITY):
+        gens, target, ident = _matrix_gens(inst)
+        hit = (lambda s: s.is_zero()) if p == P.MORTALITY \
+            else (lambda s: s == target)
+        return ident, gens, lambda s, j: s * gens[j], hit, "append"
+    gens = list(inst.generators)
+    if p == P.AFFINE_MEMBERSHIP_Z:
+        target = inst.target
+        return (AffineMap.make(1, 0, 1, "Z"), gens,
+                lambda s, j: s.compose(gens[j]), lambda s: s == target,
+                "append")
+    start, y = inst.x, inst.y
+    if p in (P.SCALAR_REACHABILITY, P.ZERO_REACHABILITY):
+        lam = 0 if p == P.ZERO_REACHABILITY else inst.lam
+
+        def hit(v: Vec2) -> bool:
+            return y.v1 * v.v1 + y.v2 * v.v2 == lam
+    else:  # vector or affine reachability
+        if p == P.AFFINE_REACHABILITY_Q:
+            start, y = Fraction(start), Fraction(y)
+
+        def hit(s) -> bool:
+            return s == y
+    return start, gens, lambda s, j: gens[j].apply(s), hit, "prepend"
+
+
 def oracle_solve(inst: ProblemInstance, budget: Budget) -> Verdict:
     """Solve any problem kind by exhaustive search up to the budget.
 
@@ -89,72 +122,17 @@ def oracle_solve(inst: ProblemInstance, budget: Budget) -> Verdict:
     deduplicated reachable set saturated strictly below the budget with
     no magnitude pruning; everything else is Unknown.
     """
-    p = inst.problem
-    if p == P.MATRIX_MEMBERSHIP:
-        gens, target, ident = _matrix_gens(inst)
-        return _search(ident, gens, lambda s, j: s * gens[j],
-                       lambda s: s == target, budget, "append")
-    if p == P.MORTALITY:
-        gens, _, ident = _matrix_gens(inst)
-        return _search(ident, gens, lambda s, j: s * gens[j],
-                       lambda s: s.is_zero(), budget, "append")
-    if p == P.VECTOR_REACHABILITY:
-        gens = list(inst.generators)
-        return _search(inst.x, gens, lambda s, j: gens[j].apply(s),
-                       lambda s: s == inst.y, budget, "prepend")
-    if p in (P.SCALAR_REACHABILITY, P.ZERO_REACHABILITY):
-        gens = list(inst.generators)
-        lam = 0 if p == P.ZERO_REACHABILITY else inst.lam
-        row = inst.y
-
-        def hit(v: Vec2) -> bool:
-            return row.v1 * v.v1 + row.v2 * v.v2 == lam
-
-        return _search(inst.x, gens, lambda s, j: gens[j].apply(s), hit,
-                       budget, "prepend")
-    if p == P.AFFINE_MEMBERSHIP_Z:
-        gens = list(inst.generators)
-        ident = AffineMap.make(1, 0, 1, "Z")
-        return _search(ident, gens, lambda s, j: s.compose(gens[j]),
-                       lambda s: s == inst.target, budget, "append")
-    if p in (P.AFFINE_REACHABILITY_Z, P.AFFINE_REACHABILITY_Q):
-        gens = list(inst.generators)
-        start = inst.x if p == P.AFFINE_REACHABILITY_Z else Fraction(inst.x)
-        target = inst.y if p == P.AFFINE_REACHABILITY_Z else Fraction(inst.y)
-        return _search(start, gens, lambda s, j: gens[j].apply(s),
-                       lambda s: s == target, budget, "prepend")
-    raise ValueError(f"oracle cannot handle problem {p!r}")
+    start, gens, step, hit, mode = _action(inst)
+    return _search(start, gens, step, hit, budget, mode)
 
 
 def replay(inst: ProblemInstance, witness) -> bool:
     """Check that a witness replays exactly to the claimed fact."""
-    gens = list(inst.generators)
+    start, gens, step, hit, mode = _action(inst)
     idx = list(witness)
     if any(not 0 <= i < len(gens) for i in idx):
         return False
-    p = inst.problem
-    if p in (P.MATRIX_MEMBERSHIP, P.MORTALITY):
-        mgens, target, prod = _matrix_gens(inst)
-        for i in idx:
-            prod = prod * mgens[i]
-        return prod.is_zero() if p == P.MORTALITY else prod == target
-    if p in (P.VECTOR_REACHABILITY, P.SCALAR_REACHABILITY, P.ZERO_REACHABILITY):
-        v = inst.x
-        for i in reversed(idx):
-            v = gens[i].apply(v)
-        if p == P.VECTOR_REACHABILITY:
-            return v == inst.y
-        lam = 0 if p == P.ZERO_REACHABILITY else inst.lam
-        return inst.y.v1 * v.v1 + inst.y.v2 * v.v2 == lam
-    if p == P.AFFINE_MEMBERSHIP_Z:
-        f = AffineMap.make(1, 0, 1, "Z")
-        for i in idx:
-            f = f.compose(gens[i])
-        return f == inst.target
-    if p in (P.AFFINE_REACHABILITY_Z, P.AFFINE_REACHABILITY_Q):
-        v = inst.x if p == P.AFFINE_REACHABILITY_Z else Fraction(inst.x)
-        for i in reversed(idx):
-            v = gens[i].apply(v)
-        target = inst.y if p == P.AFFINE_REACHABILITY_Z else Fraction(inst.y)
-        return v == target
-    raise ValueError(f"cannot replay problem {p!r}")
+    s = start
+    for j in (idx if mode == "append" else reversed(idx)):
+        s = step(s, j)
+    return hit(s)

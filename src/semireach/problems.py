@@ -20,11 +20,19 @@ SCALAR_REACHABILITY = "scalar-reachability"
 ZERO_REACHABILITY = "zero-reachability"
 MORTALITY = "mortality"
 
-PROBLEM_TAGS = frozenset({
-    AFFINE_MEMBERSHIP_Z, AFFINE_REACHABILITY_Z, AFFINE_REACHABILITY_Q,
-    MATRIX_MEMBERSHIP, VECTOR_REACHABILITY, SCALAR_REACHABILITY,
-    ZERO_REACHABILITY, MORTALITY,
-})
+# each tag's fields in document order, besides its generators
+FIELDS = {
+    AFFINE_MEMBERSHIP_Z: ("target",),
+    AFFINE_REACHABILITY_Z: ("x", "y"),
+    AFFINE_REACHABILITY_Q: ("x", "y"),
+    MATRIX_MEMBERSHIP: ("target",),
+    VECTOR_REACHABILITY: ("x", "y"),
+    SCALAR_REACHABILITY: ("x", "y", "lam"),
+    ZERO_REACHABILITY: ("x", "y"),
+    MORTALITY: (),
+}
+
+PROBLEM_TAGS = frozenset(FIELDS)
 
 
 @dataclass(frozen=True)
@@ -58,27 +66,15 @@ class ProblemInstance:
     lam: Optional[int] = None
 
     def __post_init__(self):
-        if self.problem not in PROBLEM_TAGS:
+        if self.problem not in FIELDS:
             raise ValueError(f"unknown problem tag {self.problem!r}")
         object.__setattr__(self, "generators", tuple(self.generators))
-        need = _REQUIRED_FIELDS[self.problem]
+        need = FIELDS[self.problem]
         for name in ("target", "x", "y", "lam"):
             have = getattr(self, name) is not None
             if have != (name in need):
                 word = "missing" if name in need else "unexpected"
                 raise ValueError(f"{word} field {name!r} for {self.problem}")
-
-
-_REQUIRED_FIELDS = {
-    AFFINE_MEMBERSHIP_Z: {"target"},
-    AFFINE_REACHABILITY_Z: {"x", "y"},
-    AFFINE_REACHABILITY_Q: {"x", "y"},
-    MATRIX_MEMBERSHIP: {"target"},
-    VECTOR_REACHABILITY: {"x", "y"},
-    SCALAR_REACHABILITY: {"x", "y", "lam"},
-    ZERO_REACHABILITY: {"x", "y"},
-    MORTALITY: set(),
-}
 
 
 @dataclass(frozen=True)

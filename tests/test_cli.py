@@ -1,6 +1,7 @@
 """Command-line surface: serialization, routing, verification, instance
 generation, and the cross-check harness."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -49,6 +50,57 @@ def test_round_trip_affine_problems():
     _round_trip(ProblemInstance(P.AFFINE_REACHABILITY_Q,
                                 (AffineMap.make(1, 0, 2, "Q"),),
                                 x=Fraction(1), y=Fraction(1, 4)))
+
+
+def test_serialized_documents_are_pinned():
+    # literal documents: key names, "lambda" for lam, and key order
+    cases = [
+        (ProblemInstance(P.AFFINE_MEMBERSHIP_Z, (AffineMap(2, -1),),
+                         target=AffineMap(4, -3)),
+         {"problem": "affine-membership-Z",
+          "generators": [{"a": "2", "b": "-1", "c": "1"}],
+          "target": {"a": "4", "b": "-3", "c": "1"}}),
+        (ProblemInstance(P.AFFINE_REACHABILITY_Z, (AffineMap(1, 3),),
+                         x=1, y=-10),
+         {"problem": "affine-reachability-Z",
+          "generators": [{"a": "1", "b": "3", "c": "1"}],
+          "x": "1", "y": "-10"}),
+        (ProblemInstance(P.AFFINE_REACHABILITY_Q,
+                         (AffineMap.make(1, 0, 2, "Q"),),
+                         x=Fraction(3), y=Fraction(-1, 4)),
+         {"problem": "affine-reachability-Q",
+          "generators": [{"a": "1", "b": "0", "c": "2"}],
+          "x": "3", "y": "-1/4"}),
+        (ProblemInstance(P.MATRIX_MEMBERSHIP,
+                         (UTMat(1, -2, 3), Mat2(0, 1, -1, 0)),
+                         target=UTMat(1, 0, 1)),
+         {"problem": "matrix-membership",
+          "generators": [["1", "-2", "3"], [["0", "1"], ["-1", "0"]]],
+          "target": ["1", "0", "1"]}),
+        (ProblemInstance(P.VECTOR_REACHABILITY, (UTMat(2, 0, 1),),
+                         x=Vec2(1, -1), y=Vec2(4, -1)),
+         {"problem": "vector-reachability",
+          "generators": [["2", "0", "1"]],
+          "x": ["1", "-1"], "y": ["4", "-1"]}),
+        (ProblemInstance(P.SCALAR_REACHABILITY, (UTMat(1, 1, 1),),
+                         x=Vec2(0, 1), y=Vec2(1, 0), lam=-10 ** 20),
+         {"problem": "scalar-reachability",
+          "generators": [["1", "1", "1"]],
+          "x": ["0", "1"], "y": ["1", "0"],
+          "lambda": "-100000000000000000000"}),
+        (ProblemInstance(P.ZERO_REACHABILITY, (),
+                         x=Vec2(4, 1), y=Vec2(1, -4)),
+         {"problem": "zero-reachability", "generators": [],
+          "x": ["4", "1"], "y": ["1", "-4"]}),
+        (ProblemInstance(P.MORTALITY, (Mat2(0, 1, 0, 0),)),
+         {"problem": "mortality",
+          "generators": [[["0", "1"], ["0", "0"]]]}),
+    ]
+    assert sorted(inst.problem for inst, _ in cases) == sorted(P.FIELDS)
+    for inst, doc in cases:
+        got = serialize_instance(inst)
+        assert list(got.items()) == list(doc.items())
+        assert parse_instance(doc) == inst
 
 
 def test_round_trip_machines():
@@ -244,6 +296,30 @@ def test_forced_solver_precondition_violation_exits_3(tmp_path):
     assert res.exit_code == 3
 
 
+@pytest.mark.parametrize("args", [
+    ["solve", "INST", "--max-len", "0"],
+    ["solve", "INST", "--max-steps", "0"],
+    ["solve", "INST", "--max-magnitude", "0"],
+    ["solve", "INST", "--solver", "bogus"],
+    ["solve", "INST", "--max-len", "abc"],
+    ["solve"],
+    ["xcheck", "--count", "2", "--max-len", "0"],
+    ["xcheck", "--count", "2", "--max-steps", "0"],
+    ["xcheck", "--family", "bogus"],
+    ["no-such-command"],
+])
+def test_bad_options_exit_3(tmp_path, args):
+    # 1 and 2 mean "no" and "unknown" (for xcheck, 1 is a disagreement),
+    # so a bad budget or a usage error must exit 3
+    f = tmp_path / "i.json"
+    f.write_text(json.dumps(serialize_instance(
+        ProblemInstance(P.MORTALITY, (Mat2(1, 0, 0, 1),)))))
+    res = CliRunner().invoke(main, [str(f) if a == "INST" else a
+                                    for a in args])
+    assert res.exit_code == 3, res.output
+    assert "Traceback" not in res.output
+
+
 def test_solve_reads_stdin_and_reports_no(tmp_path):
     runner = CliRunner()
     inst = ProblemInstance(P.MATRIX_MEMBERSHIP, (UTMat(1, 2, 1),),
@@ -290,7 +366,8 @@ def test_crash_exits_3(tmp_path, monkeypatch):
     r.write_text(json.dumps({"verdict": "yes", "witness": ["0", "0"]}))
     monkeypatch.setattr(cli, "solve_detpm1", boom)
     monkeypatch.setattr(cli, "replay_instance", boom)
-    for args in (["solve", str(f)], ["verify", str(f), str(r)]):
+    for args in (["solve", str(f)], ["verify", str(f), str(r)],
+                 ["xcheck", "--count", "5", "--family", "detpm1"]):
         res = runner.invoke(main, args)
         assert res.exit_code == 3, res.output
         assert "RuntimeError('boom')" in res.output
@@ -373,3 +450,28 @@ def test_xcheck_splits_unknown_by_side():
     assert doc["solver-unknown"] == 0
     assert doc["oracle-unknown"] > 0
     assert doc["unknown"] == doc["oracle-unknown"]
+
+
+def test_generator_permutation_keeps_verdicts():
+    # permuting the generators never turns a definitive verdict into its
+    # opposite, and a Yes witness mapped back through the permutation
+    # replays on the original instance
+    budget, prm = Budget(8, 10 ** 6), PrmBudget(4096, 10 ** 6)
+    rng, shuffle = random.Random(1), random.Random(2)
+    for family in ("detpm1", "detminus1", "utvec", "utmember", "mortality",
+                   "random"):
+        for _ in range(200):
+            inst = random_instance(rng, family)
+            perm = list(range(len(inst.generators)))
+            shuffle.shuffle(perm)
+            permuted = dataclasses.replace(
+                inst, generators=[inst.generators[i] for i in perm])
+            before, _ = dispatch(inst, "auto", budget, prm)
+            after, _ = dispatch(permuted, "auto", budget, prm)
+            assert not (before.definitive and after.definitive
+                        and before.is_yes != after.is_yes), inst
+            if before.is_yes:
+                assert replay_instance(inst, before.witness) is None, inst
+            if after.is_yes:
+                word = [perm[i] for i in after.witness]
+                assert replay_instance(inst, word) is None, inst

@@ -27,14 +27,6 @@ def test_mat2_mul_matches_manual():
     assert (a * b).det() == a.det() * b.det()
 
 
-def test_mat2_rank():
-    assert Mat2.zero().rank() == 0
-    assert Mat2(2, 4, 1, 2).rank() == 1
-    assert Mat2(1, 0, 0, 1).rank() == 2
-    m = Mat2(2, 4, 1, 2)
-    assert (m.det(), m.rank()) == (0, 1)
-
-
 def test_utmat_mul_agrees_with_mat2():
     rng = random.Random(1)
     for _ in range(200):

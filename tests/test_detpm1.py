@@ -14,7 +14,7 @@ from semireach.detpm1 import (SIGN_STATES, build_zvass, realize_run,
                               solve_detpm1, value_set)
 from semireach.machines import PrmBudget
 from semireach.oracle import oracle_solve, replay
-from semireach.problems import Budget, ProblemInstance
+from semireach.problems import Budget, ProblemInstance, yes
 
 
 def test_build_zvass_transitions():
@@ -33,20 +33,25 @@ def test_build_zvass_transitions():
         build_zvass([UTMat(2, 0, 1)])
 
 
+def agrees(s, predicate, lo, hi):
+    """Sampling comparison of a SemilinearSet against a predicate."""
+    return all(s.member(t) == predicate(t) for t in range(lo, hi + 1))
+
+
 def test_value_set_examples():
     v = build_zvass([UTMat(1, 2, 1)])
     s = value_set(v, (1, 1), (1, 1))
-    assert s.agrees_with(lambda t: t >= 0 and t % 2 == 0, -10, 30)
+    assert agrees(s, lambda t: t >= 0 and t % 2 == 0, -10, 30)
     assert value_set(v, (1, 1), (-1, -1)).is_empty()
 
     neg = build_zvass([UTMat(-1, 0, -1)])
-    assert value_set(neg, (1, 1), (-1, -1)).agrees_with(
-        lambda t: t == 0, -10, 10)
+    assert agrees(value_set(neg, (1, 1), (-1, -1)), lambda t: t == 0,
+                  -10, 10)
     assert value_set(neg, (1, 1), (1, -1)).is_empty()
 
     empty = build_zvass([])
-    assert value_set(empty, (1, 1), (1, 1)).agrees_with(
-        lambda t: t == 0, -10, 10)
+    assert agrees(value_set(empty, (1, 1), (1, 1)), lambda t: t == 0,
+                  -10, 10)
     with pytest.raises(ValueError):
         value_set(empty, (0, 1), (1, 1))
 
@@ -127,6 +132,29 @@ def test_solve_detpm1_vector_and_scalar():
     assert v.is_yes and replay(sc, v.witness)
     z = ProblemInstance(P.ZERO_REACHABILITY, g, x=Vec2(-3, 1), y=Vec2(1, 0))
     assert solve_detpm1(z).is_yes
+
+
+def test_sign_split_without_top_right_coefficient():
+    g = (UTMat(-1, 2, 1), UTMat(1, 3, -1))
+    # x = y = 0: the empty product is a witness
+    zero = ProblemInstance(P.VECTOR_REACHABILITY, g, x=Vec2(0, 0),
+                           y=Vec2(0, 0))
+    assert solve_detpm1(zero) == yes(())
+    # x2*y1 == 0: y^T M x == s*x1*y1 + t*x2*y2 for M's diagonal (s, t)
+    for x, y, lam, want in ((Vec2(3, 0), Vec2(1, 5), -3, "yes"),
+                            (Vec2(3, 0), Vec2(1, 5), 4, "no"),
+                            (Vec2(1, 2), Vec2(0, 3), -6, "yes"),
+                            (Vec2(1, 2), Vec2(0, 3), 5, "no")):
+        inst = ProblemInstance(P.SCALAR_REACHABILITY, g, x=x, y=y, lam=lam)
+        got = solve_detpm1(inst)
+        assert got.kind == want, inst
+        assert not got.is_yes or replay(inst, got.witness)
+    # diagonal (1, 1) is the empty product's, whatever the generators
+    inst = ProblemInstance(P.SCALAR_REACHABILITY,
+                           (UTMat(-1, 1, -1), UTMat(-1, 2, 1),
+                            UTMat(1, -1, -1), UTMat(-1, -2, -1)),
+                           x=Vec2(3, 0), y=Vec2(-1, 1), lam=-3)
+    assert solve_detpm1(inst) == yes(())
 
 
 def _random_pm1_instance(rng):

@@ -58,7 +58,7 @@ def test_hnf_shape_and_unimodularity():
 def test_solve_linear_free_exact():
     res = solve_linear(LinearSystem(((2, 3),), (7,)))
     assert res.kind == "some"
-    x, y = res.assignment
+    x, y = res.particular
     assert 2 * x + 3 * y == 7
     assert solve_linear(LinearSystem(((2, 4),), (5,))).kind == "none"
     # basis spans the kernel
@@ -68,18 +68,10 @@ def test_solve_linear_free_exact():
 
 def test_solve_linear_parity_rows():
     # x + y == 4 with x odd
-    res = solve_linear(LinearSystem(((1, 1),), (4,), ("free", "free"),
-                                    (((0,), 1),)))
+    res = solve_linear(LinearSystem(((1, 1),), (4,), (((0,), 1),)))
     assert res.kind == "some"
-    x, y = res.assignment
+    x, y = res.particular
     assert x + y == 4 and x % 2 == 1
-
-
-def test_solve_linear_nonneg():
-    res = solve_linear(LinearSystem(((3, 5),), (11,), ("nonneg", "nonneg")))
-    assert res.kind == "some"
-    x, y = res.assignment
-    assert x >= 0 and y >= 0 and 3 * x + 5 * y == 11
 
 
 def _brute_combo(coeffs, target, flips, parity, bound=14):
@@ -109,21 +101,26 @@ def test_nonneg_combination_matches_brute_force():
             assert not _brute_combo(coeffs, target, flips, parity)
 
 
+def agrees(s, predicate, lo, hi):
+    """Sampling comparison of a SemilinearSet against a predicate."""
+    return all(s.member(t) == predicate(t) for t in range(lo, hi + 1))
+
+
 def test_semilinear_membership_union_sum():
-    s = SemilinearSet.of_progression(1, 3)  # 1 + 3N
+    s = SemilinearSet(((1, 3),))  # 1 + 3N
     assert s.member(1) and s.member(7) and not s.member(2)
     t = SemilinearSet.singleton(5)
     u = s.union(t)
     assert u.member(5) and u.member(4)
     total = s.sum(s)  # 2 + 3N + 3N = 2 + 3N
-    assert total.agrees_with(lambda v: v >= 2 and v % 3 == 2, -10, 40)
+    assert agrees(total, lambda v: v >= 2 and v % 3 == 2, -10, 40)
 
 
 def test_semilinear_downward_and_two_sided():
     down = SemilinearSet(((0, -2),))
     assert down.member(-6) and not down.member(2) and not down.member(-3)
     coset = SemilinearSet(((1, 4), (1, -4)))
-    assert coset.agrees_with(lambda v: v % 4 == 1, -30, 30)
+    assert agrees(coset, lambda v: v % 4 == 1, -30, 30)
 
 
 def test_combo_value_set_matches_pointwise_query():
