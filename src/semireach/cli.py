@@ -79,7 +79,10 @@ def _dec_rat(s) -> Fraction:
         raise SchemaError(f"bad rational encoding {s!r}")
     num, _, den = s.partition("/")
     if den:
-        return Fraction(_dec_int(num), _dec_int(den))
+        d = _dec_int(den)
+        if d == 0:
+            raise SchemaError(f"bad rational encoding {s!r}")
+        return Fraction(_dec_int(num), d)
     return Fraction(_dec_int(num))
 
 
@@ -575,6 +578,7 @@ def verify(instance, result):
 @click.option("--problem", default=P.MATRIX_MEMBERSHIP,
               type=click.Choice(sorted(P.PROBLEM_TAGS)))
 @click.option("--count", default=3, show_default=True,
+              type=click.IntRange(min=0),
               help="generator count for the random family")
 def gen(family, avals, target_sum, variant, seed, problem, count):
     """Emit an instance file on standard output."""
@@ -626,7 +630,8 @@ def gen(family, avals, target_sum, variant, seed, problem, count):
 
 
 @main.command()
-@click.option("--count", default=100, show_default=True)
+@click.option("--count", default=100, show_default=True,
+              type=click.IntRange(min=0))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--family", default="random", show_default=True,
               type=click.Choice(("detpm1", "detminus1", "utvec", "utmember",

@@ -2,28 +2,28 @@
 
 The ground-truth oracle for every problem kind.  Witnesses are canonical:
 shortest first, ties broken by lexicographically least index sequence.
+
+Search states are plain values: entry tuples for matrices, vectors and
+integer affine maps, and int or Fraction for affine reachability.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from . import problems as P
-from .core import AffineMap, Mat2, UTMat, Vec2
+from .core import Mat2, UTMat, Vec2
 from .problems import Budget, ProblemInstance, Verdict, no, unknown, yes
 
 
 def _magnitude(state) -> int:
-    if isinstance(state, Mat2):
-        return max(abs(state.m11), abs(state.m12), abs(state.m21), abs(state.m22))
-    if isinstance(state, UTMat):
-        return max(abs(state.a), abs(state.b), abs(state.c))
-    if isinstance(state, Vec2):
-        return max(abs(state.v1), abs(state.v2))
+    if isinstance(state, tuple):
+        return max(map(abs, state))
     if isinstance(state, Fraction):
         return max(abs(state.numerator), state.denominator)
-    if isinstance(state, AffineMap):
-        return max(abs(state.a), abs(state.b), abs(state.c))
+    if isinstance(state, Vec2):
+        return max(abs(state.v1), abs(state.v2))
     return abs(state)
 
 
@@ -34,52 +34,66 @@ def _search(start, gens, step, hit, budget: Budget, mode: str) -> Verdict:
     mode "prepend": step j extends it on the left (states built by applying
     the new generator to the current state).  Either way each level is
     generated in lexicographic witness order, so the first witness found
-    for any state is the canonical one.
+    for any state is the canonical one.  parent[t] is the state t was first
+    reached from; the witness is rebuilt from these links on a Yes.
     """
     if hit(start):
         return yes(())
-    visited = {start}
-    frontier = [((), start)]
+    cap = budget.max_entry
+    js = range(len(gens))
+    parent = {start: None}
+    frontier = [start]
     pruned = False
     for _ in range(budget.max_len):
         nxt = []
-        seen_here = set()
         if mode == "append":
-            pairs = ((w, s, j) for (w, s) in frontier for j in range(len(gens)))
+            pairs = product(frontier, js)
         else:
-            pairs = ((w, s, j) for j in range(len(gens)) for (w, s) in frontier)
-        for w, s, j in pairs:
+            pairs = ((s, j) for j, s in product(js, frontier))
+        for s, j in pairs:
             t = step(s, j)
-            if t in visited or t in seen_here:
+            if t in parent:
                 continue
-            if budget.max_entry is not None and _magnitude(t) > budget.max_entry:
+            if cap is not None and _magnitude(t) > cap:
                 pruned = True
                 continue
-            nw = w + (j,) if mode == "append" else (j,) + w
+            parent[t] = s
             if hit(t):
-                return yes(nw)
-            seen_here.add(t)
-            nxt.append((nw, t))
+                return yes(_word(parent, t, step, js, mode))
+            nxt.append(t)
         if not nxt:
             return no("saturation") if not pruned else unknown()
-        visited.update(seen_here)
         frontier = nxt
     return unknown()
+
+
+def _word(parent, t, step, js, mode: str) -> tuple:
+    """The canonical witness of t, read off the parent links.
+
+    Each link s -> t was first made by the least j with step(s, j) == t:
+    in "append" order the j loop runs inside a fixed s, and in "prepend"
+    order the first pair (j, s) to reach t has the least j for its s.
+    """
+    word = []
+    s = parent[t]
+    while s is not None:
+        word.append(next(j for j in js if step(s, j) == t))
+        t, s = s, parent[s]
+    if mode == "append":
+        word.reverse()
+    return tuple(word)
 
 
 def _as_mat2(m) -> Mat2:
     return m.to_mat2() if isinstance(m, UTMat) else m
 
 
-def _matrix_gens(inst: ProblemInstance):
-    """Generators in one common kind (UTMat when all are, else Mat2)."""
-    gens = list(inst.generators)
-    extra = [inst.target] if inst.target is not None else []
-    if all(isinstance(m, UTMat) for m in gens + extra):
-        return gens, inst.target, UTMat.identity()
-    return ([_as_mat2(m) for m in gens],
-            _as_mat2(inst.target) if inst.target is not None else None,
-            Mat2.identity())
+def _entries(m, ut: bool) -> tuple:
+    """(a, b, c) of an upper-triangular matrix, or (m11, m12, m21, m22)."""
+    if ut:
+        return (m.a, m.b, m.c)
+    m = _as_mat2(m)
+    return (m.m11, m.m12, m.m21, m.m22)
 
 
 def _action(inst: ProblemInstance):
@@ -89,30 +103,80 @@ def _action(inst: ProblemInstance):
     the witness a step adds to (see _search).
     """
     p = inst.problem
-    if p in (P.MATRIX_MEMBERSHIP, P.MORTALITY):
-        gens, target, ident = _matrix_gens(inst)
-        hit = (lambda s: s.is_zero()) if p == P.MORTALITY \
-            else (lambda s: s == target)
-        return ident, gens, lambda s, j: s * gens[j], hit, "append"
-    gens = list(inst.generators)
     if p == P.AFFINE_MEMBERSHIP_Z:
-        target = inst.target
-        return (AffineMap.make(1, 0, 1, "Z"), gens,
-                lambda s, j: s.compose(gens[j]), lambda s: s == target,
-                "append")
-    start, y = inst.x, inst.y
-    if p in (P.SCALAR_REACHABILITY, P.ZERO_REACHABILITY):
+        maps = [(f.a, f.b) for f in inst.generators]
+        target = (inst.target.a, inst.target.b)
+
+        def step(s, j):  # s after maps[j]
+            a, b = s
+            c, d = maps[j]
+            return (a * c, a * d + b)
+        return (1, 0), maps, step, lambda s: s == target, "append"
+    if p in (P.AFFINE_REACHABILITY_Z, P.AFFINE_REACHABILITY_Q):
+        maps = [(f.a, f.b, f.c) for f in inst.generators]
+        if p == P.AFFINE_REACHABILITY_Z:
+            start, y = inst.x, inst.y
+
+            def step(x, j):
+                a, b, _ = maps[j]
+                return a * x + b
+        else:
+            start, y = Fraction(inst.x), Fraction(inst.y)
+
+            def step(q, j):  # (a*q + b) / c
+                a, b, c = maps[j]
+                d = q.denominator
+                return Fraction(a * q.numerator + b * d, c * d)
+        return start, maps, step, lambda s: s == y, "prepend"
+    # matrices in one common kind: (a, b, c) when all are upper
+    # triangular, else (m11, m12, m21, m22)
+    ut = all(isinstance(m, UTMat) for m in inst.generators) and \
+        (inst.target is None or isinstance(inst.target, UTMat))
+    gens = [_entries(m, ut) for m in inst.generators]
+    if p in (P.MATRIX_MEMBERSHIP, P.MORTALITY):
+        if p == P.MORTALITY:
+            def hit(s) -> bool:
+                return not any(s)
+        else:
+            target = _entries(inst.target, ut)
+
+            def hit(s) -> bool:
+                return s == target
+        if ut:
+            def step(s, j):
+                a, b, c = s
+                x, y, z = gens[j]
+                return (a * x, a * y + b * z, c * z)
+            return (1, 0, 1), gens, step, hit, "append"
+
+        def step(s, j):
+            a, b, c, d = s
+            e, f, g, h = gens[j]
+            return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        return (1, 0, 0, 1), gens, step, hit, "append"
+    if ut:
+        def step(v, j):
+            v1, v2 = v
+            a, b, c = gens[j]
+            return (a * v1 + b * v2, c * v2)
+    else:
+        def step(v, j):
+            v1, v2 = v
+            a, b, c, d = gens[j]
+            return (a * v1 + b * v2, c * v1 + d * v2)
+    x, y = inst.x, inst.y
+    if p == P.VECTOR_REACHABILITY:
+        target = (y.v1, y.v2)
+
+        def hit(v) -> bool:
+            return v == target
+    else:  # scalar or zero reachability
         lam = 0 if p == P.ZERO_REACHABILITY else inst.lam
+        y1, y2 = y.v1, y.v2
 
-        def hit(v: Vec2) -> bool:
-            return y.v1 * v.v1 + y.v2 * v.v2 == lam
-    else:  # vector or affine reachability
-        if p == P.AFFINE_REACHABILITY_Q:
-            start, y = Fraction(start), Fraction(y)
-
-        def hit(s) -> bool:
-            return s == y
-    return start, gens, lambda s, j: gens[j].apply(s), hit, "prepend"
+        def hit(v) -> bool:
+            return y1 * v[0] + y2 * v[1] == lam
+    return (x.v1, x.v2), gens, step, hit, "prepend"
 
 
 def oracle_solve(inst: ProblemInstance, budget: Budget) -> Verdict:

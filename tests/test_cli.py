@@ -20,6 +20,7 @@ from semireach.cli import (ARM_REACHABILITY, BCA_REACHABILITY,
 from semireach.core import AffineMap, Mat2, UTMat, Vec2
 from semireach.machines import Bca, Prm, PrmBudget
 from semireach.problems import Budget, ProblemInstance
+from semireach.utsolvers import _flip_ut
 
 
 def _round_trip(inst):
@@ -138,8 +139,11 @@ def test_parse_rejects_malformed_documents():
     bad_poly = {"problem": ARM_REACHABILITY,
                 "machine": {"states": ["q"], "transitions": [["q", "q", 5]]},
                 "x": ["q", "0"], "y": ["q", "1"]}
+    zero_den = {"problem": P.AFFINE_REACHABILITY_Q,
+                "generators": [{"a": "1", "b": "0", "c": "2"}],
+                "x": "1/0", "y": "1"}
     runner = CliRunner()
-    for doc in (no_bound, bad_poly):
+    for doc in (no_bound, bad_poly, zero_den):
         with pytest.raises(SchemaError):
             parse_instance(doc)
         res = runner.invoke(main, ["solve", "-"], input=json.dumps(doc))
@@ -307,6 +311,8 @@ def test_forced_solver_precondition_violation_exits_3(tmp_path):
     ["xcheck", "--count", "2", "--max-steps", "0"],
     ["xcheck", "--family", "bogus"],
     ["no-such-command"],
+    ["xcheck", "--count", "-3"],
+    ["gen", "random", "--count", "-1"],
 ])
 def test_bad_options_exit_3(tmp_path, args):
     # 1 and 2 mean "no" and "unknown" (for xcheck, 1 is a disagreement),
@@ -475,3 +481,34 @@ def test_generator_permutation_keeps_verdicts():
             if after.is_yes:
                 word = [perm[i] for i in after.witness]
                 assert replay_instance(inst, word) is None, inst
+
+
+def test_flip_keeps_verdicts():
+    # _flip_ut maps a product to the reversed product of the images, so a
+    # membership instance and its flip have the same answer: neither
+    # dispatch nor the oracle gives them opposite definitive verdicts,
+    # and a Yes witness reversed replays on the other instance
+    budget, prm = Budget(8, 10 ** 6), PrmBudget(4096, 10 ** 6)
+    rng = random.Random(1)
+    pairs = 0
+    for family in ("utmember", "random", "detpm1", "detminus1"):
+        for _ in range(400):
+            inst = random_instance(rng, family)
+            if inst.problem != P.MATRIX_MEMBERSHIP:
+                continue
+            flip = ProblemInstance(P.MATRIX_MEMBERSHIP,
+                                   [_flip_ut(g) for g in inst.generators],
+                                   target=_flip_ut(inst.target))
+            pairs += 1
+            verdicts = []
+            for a, b in ((inst, flip), (flip, inst)):
+                for v in (dispatch(a, "auto", budget, prm)[0],
+                          oracle_solve(a, budget)):
+                    verdicts.append(v)
+                    if v.is_yes:
+                        assert replay_instance(a, v.witness) is None, a
+                        assert replay_instance(
+                            b, tuple(reversed(v.witness))) is None, a
+            assert len({v.is_yes for v in verdicts if v.definitive}) <= 1, \
+                inst
+    assert pairs > 600

@@ -1,13 +1,17 @@
 """Brute-force search oracle: canonical witnesses, saturation, replay."""
 
+import dataclasses
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from semireach import problems as P
+from semireach.cli import random_instance
 from semireach.core import AffineMap, Mat2, UTMat, Vec2
 from semireach.oracle import oracle_solve, replay
-from semireach.problems import Budget, ProblemInstance
+from semireach.problems import Budget, ProblemInstance, no, unknown, yes
 
 B = Budget(8, 10 ** 6)
 
@@ -105,3 +109,165 @@ def test_magnitude_cap_blocks_but_never_fakes_no():
                            target=UTMat(1024, 0, 1))
     assert not oracle_solve(inst, Budget(20, 100)).definitive
     assert oracle_solve(inst, Budget(20, 2000)).is_yes
+
+
+def test_cap_boundary_uses_rational_height():
+    # x -> x/2 from 1 reaches 1/4, whose magnitude is max(|num|, den) = 4
+    inst = ProblemInstance(P.AFFINE_REACHABILITY_Q,
+                           (AffineMap.make(1, 0, 2, "Q"),),
+                           x=Fraction(1), y=Fraction(1, 4))
+    assert oracle_solve(inst, Budget(8, 3)).kind == "unknown"
+    v = oracle_solve(inst, Budget(8, 4))
+    assert v.is_yes and v.witness == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the object-state, witness-per-node search the oracle replaced
+
+
+def _reference_magnitude(state) -> int:
+    if isinstance(state, Mat2):
+        return max(abs(state.m11), abs(state.m12), abs(state.m21),
+                   abs(state.m22))
+    if isinstance(state, UTMat):
+        return max(abs(state.a), abs(state.b), abs(state.c))
+    if isinstance(state, Vec2):
+        return max(abs(state.v1), abs(state.v2))
+    if isinstance(state, Fraction):
+        return max(abs(state.numerator), state.denominator)
+    if isinstance(state, AffineMap):
+        return max(abs(state.a), abs(state.b), abs(state.c))
+    return abs(state)
+
+
+def _reference_search(start, gens, step, hit, budget, mode):
+    if hit(start):
+        return yes(())
+    visited = {start}
+    frontier = [((), start)]
+    pruned = False
+    for _ in range(budget.max_len):
+        nxt = []
+        seen_here = set()
+        if mode == "append":
+            pairs = ((w, s, j) for (w, s) in frontier
+                     for j in range(len(gens)))
+        else:
+            pairs = ((w, s, j) for j in range(len(gens))
+                     for (w, s) in frontier)
+        for w, s, j in pairs:
+            t = step(s, j)
+            if t in visited or t in seen_here:
+                continue
+            if budget.max_entry is not None and \
+                    _reference_magnitude(t) > budget.max_entry:
+                pruned = True
+                continue
+            nw = w + (j,) if mode == "append" else (j,) + w
+            if hit(t):
+                return yes(nw)
+            seen_here.add(t)
+            nxt.append((nw, t))
+        if not nxt:
+            return no("saturation") if not pruned else unknown()
+        visited.update(seen_here)
+        frontier = nxt
+    return unknown()
+
+
+def _reference_action(inst):
+    p = inst.problem
+    gens = list(inst.generators)
+    if p in (P.MATRIX_MEMBERSHIP, P.MORTALITY):
+        extra = [inst.target] if inst.target is not None else []
+        if all(isinstance(m, UTMat) for m in gens + extra):
+            ident, target = UTMat.identity(), inst.target
+        else:
+            gens = [m.to_mat2() if isinstance(m, UTMat) else m for m in gens]
+            ident = Mat2.identity()
+            target = inst.target.to_mat2() \
+                if isinstance(inst.target, UTMat) else inst.target
+        hit = (lambda s: s.is_zero()) if p == P.MORTALITY \
+            else (lambda s: s == target)
+        return ident, gens, lambda s, j: s * gens[j], hit, "append"
+    if p == P.AFFINE_MEMBERSHIP_Z:
+        return (AffineMap.make(1, 0, 1, "Z"), gens,
+                lambda s, j: s.compose(gens[j]),
+                lambda s: s == inst.target, "append")
+    start, y = inst.x, inst.y
+    if p in (P.SCALAR_REACHABILITY, P.ZERO_REACHABILITY):
+        lam = 0 if p == P.ZERO_REACHABILITY else inst.lam
+
+        def hit(v):
+            return y.v1 * v.v1 + y.v2 * v.v2 == lam
+    else:
+        if p == P.AFFINE_REACHABILITY_Q:
+            start, y = Fraction(start), Fraction(y)
+
+        def hit(s):
+            return s == y
+    return start, gens, lambda s, j: gens[j].apply(s), hit, "prepend"
+
+
+def _reference_instance(rng, i):
+    """Instance i of a seeded stream that rotates through the xcheck
+    families and the three affine tags.  Some get a repeated generator;
+    some matrix ones get general (Mat2) copies of upper-triangular
+    generators, so the search must use one common kind, and half the
+    mortality ones are upper triangular."""
+    kinds = ("detpm1", "utvec", "utmember", "mortality", "random",
+             P.AFFINE_MEMBERSHIP_Z, P.AFFINE_REACHABILITY_Z,
+             P.AFFINE_REACHABILITY_Q)
+    kind = kinds[i % len(kinds)]
+    if not kind.startswith("affine"):
+        inst = random_instance(rng, kind)
+        gens = list(inst.generators)
+        if kind == "mortality" and rng.random() < 0.5:
+            gens = [UTMat(rng.randint(-2, 2), rng.randint(-2, 2),
+                          rng.randint(-2, 2)) for _ in range(len(gens))]
+        elif gens and kind != "mortality" and rng.random() < 0.3:
+            gens = [g.to_mat2() if rng.random() < 0.5 else g for g in gens]
+    else:
+        n = rng.randint(1, 3)
+        dom = "Q" if kind == P.AFFINE_REACHABILITY_Q else "Z"
+        gens = [AffineMap.make(rng.randint(-3, 3), rng.randint(-3, 3),
+                               rng.choice((1, 2, 3)) if dom == "Q" else 1,
+                               dom) for _ in range(n)]
+        if kind == P.AFFINE_MEMBERSHIP_Z:
+            t = AffineMap(1, 0)
+            for _ in range(rng.randint(0, 5)):
+                t = t.compose(rng.choice(gens))
+            inst = ProblemInstance(kind, gens, target=t)
+        elif kind == P.AFFINE_REACHABILITY_Z:
+            inst = ProblemInstance(kind, gens, x=rng.randint(-5, 5),
+                                   y=rng.randint(-9, 9))
+        else:
+            inst = ProblemInstance(kind, gens,
+                                   x=Fraction(rng.randint(-5, 5)),
+                                   y=Fraction(rng.randint(-9, 9),
+                                              rng.randint(1, 3)))
+    if gens and rng.random() < 0.25:
+        gens.insert(rng.randrange(len(gens) + 1), rng.choice(gens))
+    return dataclasses.replace(inst, generators=gens)
+
+
+def test_search_matches_object_reference():
+    # kind, certificate and witness agree with the object-state search on
+    # every tag, both witness orders, and caps that prune
+    rng = random.Random(5)
+    budgets = (Budget(6, 10 ** 6), Budget(6, 12), Budget(5, None))
+    seen = Counter()
+    for i in range(1000):
+        inst = _reference_instance(rng, i)
+        budget = budgets[i % len(budgets)]
+        start, gens, step, hit, mode = _reference_action(inst)
+        want = _reference_search(start, gens, step, hit, budget, mode)
+        got = oracle_solve(inst, budget)
+        assert (got.kind, got.certificate, got.witness) == \
+            (want.kind, want.certificate, want.witness), (inst, budget)
+        if got.is_yes:
+            assert replay(inst, got.witness)
+        seen[inst.problem, got.kind] += 1
+    assert {p for p, _ in seen} == P.PROBLEM_TAGS
+    for kind in ("yes", "no", "unknown"):
+        assert sum(n for (_, k), n in seen.items() if k == kind) > 50
