@@ -358,13 +358,7 @@ class SemilinearSet:
     components: tuple = ()
 
     def __post_init__(self):
-        comps = []
-        seen = set()
-        for b, s in self.components:
-            if (b, s) not in seen:
-                seen.add((b, s))
-                comps.append((b, s))
-        comps = _prune(comps)
+        comps = _prune(list(dict.fromkeys(self.components)))
         object.__setattr__(self, "components", tuple(sorted(comps)))
 
     @staticmethod
@@ -384,12 +378,14 @@ class SemilinearSet:
     def union(self, other: "SemilinearSet") -> "SemilinearSet":
         return SemilinearSet(self.components + other.components)
 
-    def sum(self, other: "SemilinearSet") -> "SemilinearSet":
-        comps = []
-        for b1, s1 in self.components:
-            for b2, s2 in other.components:
-                comps.extend(_ray_sum(b1, s1, b2, s2))
-        return SemilinearSet(tuple(comps))
+
+def ray_sums(comps1, comps2) -> list:
+    """Rays whose union is the sumset of two unions of rays, unpruned."""
+    out = []
+    for b1, s1 in comps1:
+        for b2, s2 in comps2:
+            out.extend(_ray_sum(b1, s1, b2, s2))
+    return out
 
 
 def _ray_member(b: int, s: int, t: int) -> bool:
@@ -399,28 +395,36 @@ def _ray_member(b: int, s: int, t: int) -> bool:
     return d % s == 0 and d // s >= 0
 
 
-def _ray_subset(c1, c2) -> bool:
-    b1, s1 = c1
-    b2, s2 = c2
-    if not _ray_member(b2, s2, b1):
-        return False
-    if s1 == 0:
-        return True
-    if s2 == 0:
-        return False
-    return s1 % s2 == 0 and s1 * s2 > 0
-
-
 def _prune(comps):
-    if len(comps) > 512:
-        return comps  # quadratic redundancy sweep not worth it
+    """The distinct rays of comps that lie in no other ray, in input
+    order.  A ray lies in a ray of step s2 only if s2 divides its step
+    with the same sign (any s2 for a singleton) and its base is a member.
+    Per (step, base mod step), the least base of the upward rays and the
+    greatest of the downward ones span all the others, so one table of
+    those ends answers each test in one lookup per distinct step."""
+    ends = {}
+    for b, s in comps:
+        if s:
+            key = (s, b % s)
+            e = ends.get(key)
+            if e is None or (b < e if s > 0 else b > e):
+                ends[key] = b
+    if not ends:
+        return comps  # distinct singletons
+    steps = {s for s, _ in ends}
+    over = {s: [t for t in steps if s % t == 0 and (s > 0) == (t > 0)]
+            for s in steps}
+    over[0] = list(steps)
     out = []
-    for i, c in enumerate(comps):
-        others = comps[:i] + comps[i + 1:]
-        if any(_ray_subset(c, o) for o in out) or \
-           any(_ray_subset(c, o) and not _ray_subset(o, c) for o in others):
-            continue
-        out.append(c)
+    for c in comps:
+        b, s = c
+        for t in over[s]:
+            e = ends.get((t, b % t))
+            if e is not None and (e <= b if t > 0 else e >= b) \
+                    and (e != b or t != s):
+                break
+        else:
+            out.append(c)
     return out
 
 

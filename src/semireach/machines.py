@@ -122,12 +122,14 @@ def _trace(parent, conf) -> Verdict:
 
 def _monotone_bounds(m: Prm, dst):
     """Per-state feasibility interval for reaching dst, valid when every
-    update is affine with slope >= 1 (so every path map is strictly
-    increasing in the start value).  Returns (up, down), two lists
-    indexed like m.states, or None when some update is not of that form.
+    update is affine with slope >= 1 or constant.  Returns (up, down), two
+    lists indexed like m.states, or None when some update is not of that
+    form.
 
-    A value v can reach (qt, vt) through (q, ax+b, q') only if
-    (down(q')-b)/a <= v <= (up(q')-b)/a.  The least fixpoint of this
+    A value v can reach (qt, vt) through (q, ax+b, q') with a >= 1 only
+    if (down(q')-b)/a <= v <= (up(q')-b)/a.  A constant edge from q to q'
+    with value b leaves q unbounded once b lies in the interval of q',
+    and is dead while it does not.  The least fixpoint of this
     backward system is approached by Kleene iteration; since slopes > 1
     make the iteration converge only in the limit, the candidate is
     padded with slack and certified as a post-fixpoint (any verified
@@ -135,10 +137,12 @@ def _monotone_bounds(m: Prm, dst):
     certificate are widened to an unbounded interval, which merely
     disables pruning there.
     """
-    if not all(len(p) == 2 and p[1] >= 1 for _, _, p in m.transitions):
+    if not all(len(p) == 1 or len(p) == 2 and p[1] >= 0
+               for _, _, p in m.transitions):
         return None
     index = {q: i for i, q in enumerate(m.states)}
-    trans = [(index[s], index[d], b, a) for s, d, (b, a) in m.transitions]
+    trans = [(index[s], index[d], p[0], p[1] if len(p) == 2 else 0)
+             for s, d, p in m.transitions]
     qt, vt = index[dst[0]], dst[1]
     # states that can reach qt at all; everything else is dead outright
     preds = [[] for _ in m.states]
@@ -166,6 +170,18 @@ def _monotone_bounds(m: Prm, dst):
     def relax_once():
         changed = []
         for s, d, b, a in edges:
+            if not a:
+                u, w = up[d], down[d]
+                if u is not NEG_INF and w is not POS_INF \
+                        and (u is POS_INF or b <= u) \
+                        and (w is NEG_INF or b >= w):
+                    if up[s] is not POS_INF:
+                        up[s] = POS_INF
+                        changed.append(2 * s + 1)
+                    if down[s] is not NEG_INF:
+                        down[s] = NEG_INF
+                        changed.append(2 * s)
+                continue
             u = up[d]
             if u is not NEG_INF:
                 us = up[s]
@@ -228,9 +244,10 @@ def reach_prm(m: Prm, src, dst, budget: PrmBudget) -> Verdict:
 
     No is issued only when the explored set is provably closed: the
     frontier died out and nothing was cut by the magnitude cap.  For
-    machines whose updates are all affine with slope >= 1, configurations
-    that provably cannot reach the target (by the monotone interval
-    bounds) are discarded without weakening the closure certificate.
+    machines whose updates are all affine with slope >= 1 or constant,
+    configurations that provably cannot reach the target (by the monotone
+    interval bounds) are discarded without weakening the closure
+    certificate.
 
     The machine is compiled once per call: states become indices, a
     configuration (state, value) is the int value*n + state, and each

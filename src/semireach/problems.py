@@ -34,6 +34,13 @@ FIELDS = {
 
 PROBLEM_TAGS = frozenset(FIELDS)
 
+# the domain of the affine maps each affine tag takes
+AFFINE_DOMAINS = {
+    AFFINE_MEMBERSHIP_Z: "Z",
+    AFFINE_REACHABILITY_Z: "Z",
+    AFFINE_REACHABILITY_Q: "Q",
+}
+
 
 @dataclass(frozen=True)
 class Budget:
@@ -75,6 +82,14 @@ class ProblemInstance:
             if have != (name in need):
                 word = "missing" if name in need else "unexpected"
                 raise ValueError(f"{word} field {name!r} for {self.problem}")
+        domain = AFFINE_DOMAINS.get(self.problem)
+        if domain is not None:
+            maps = self.generators + (() if self.target is None
+                                      else (self.target,))
+            for f in maps:
+                if not isinstance(f, AffineMap) or f.domain != domain:
+                    raise ValueError(f"{self.problem} takes {domain}-domain "
+                                     f"affine maps, not {f!r}")
 
 
 @dataclass(frozen=True)

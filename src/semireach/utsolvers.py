@@ -11,12 +11,11 @@ from typing import Optional
 from . import problems as P
 from .bridge import disjunction
 from .core import UTMat, Vec2
-from .detpm1 import (SIGN_STATES, _word_product, build_zvass, realize_run,
-                     value_set)
-from .diophantine import SemilinearSet, nonneg_combination
+from .detpm1 import _word_product, build_zvass, realize_run, value_set
+from .diophantine import SemilinearSet, nonneg_combination, ray_sums
 from .machines import Prm, PrmBudget, reach_prm
 from .oracle import oracle_solve
-from .problems import Budget, ProblemInstance, Verdict, no, yes
+from .problems import Budget, ProblemInstance, Verdict, no, unknown, yes
 
 
 def _require(gens, field, label):
@@ -71,6 +70,100 @@ def _diag_product_word(values, target) -> Optional[list]:
                 nxt.append(nd)
         frontier = nxt
     return None
+
+
+# ---------------------------------------------------------------------------
+# Top-right sets over diagonal pairs
+
+
+def _scale_set(s: SemilinearSet, k: int) -> SemilinearSet:
+    return SemilinearSet(tuple((k * b, k * st) for b, st in s.components))
+
+
+def _segment_sets(gens):
+    """Per sign pair that unit-diagonal products reach: the set of their
+    top-right entries with that diagonal.  Also the unit generators and
+    their index map into gens."""
+    unit_idx = [i for i, g in enumerate(gens)
+                if abs(g.a) == 1 and abs(g.c) == 1]
+    unit = [gens[i] for i in unit_idx]
+    if not unit:
+        return {(1, 1): SemilinearSet.singleton(0)}, unit, unit_idx
+    reach, todo = {(1, 1)}, [(1, 1)]
+    while todo:
+        s, t = todo.pop()
+        for g in unit:
+            st = (s * g.a, t * g.c)
+            if st not in reach:
+                reach.add(st)
+                todo.append(st)
+    zv = build_zvass(unit)
+    sets = {st: _scale_set(value_set(zv, (1, 1), st), st[1]) for st in reach}
+    return sets, unit, unit_idx
+
+
+def _diag_skeleton(gens, seg_sets, keep, goal=None):
+    """Integer skeleton of the top-right DP: nodes (A, C, phase), the
+    diagonal of a product suffix whose last prepended part was a big
+    factor or nothing (phase 0) or a unit segment (phase 1), reachable
+    from (1, 1, 0) through diagonals that pass keep(A, C).  Maps each
+    node to its incoming (predecessor, label) edges, labelled by a
+    segment's sign pair or a big generator's index.  Given a goal, only
+    the nodes on a path to it are kept."""
+    signs = sorted(seg_sets, reverse=True)
+    big = [i for i, g in enumerate(gens) if abs(g.a) != 1 or abs(g.c) != 1]
+    start = (1, 1, 0)
+    into, todo = {start: []}, [start]
+    while todo:
+        node = todo.pop()
+        A, C, phase = node
+        if phase == 0:
+            steps = [((s * A, t * C, 1), (s, t)) for s, t in signs]
+        else:
+            steps = [((gens[i].a * A, gens[i].c * C, 0), i) for i in big]
+        for dst, label in steps:
+            if keep(dst[0], dst[1]):
+                if dst not in into:
+                    todo.append(dst)
+                into.setdefault(dst, []).append((node, label))
+    if goal is None:
+        return into
+    live = set()
+    stack = [goal] if goal in into else []
+    while stack:
+        node = stack.pop()
+        if node not in live:
+            live.add(node)
+            stack += [src for src, _ in into[node]]
+    return {node: [e for e in into[node] if e[0] in live] for node in live}
+
+
+def _top_right_sets(gens, into, seg_sets):
+    """The semilinear set of top-right entries B of the products
+    (A B; 0 C) at each skeleton node.  Prepending (a b; 0 c) to
+    (A B; 0 C) gives (aA, aB + bC; 0, cC), so a big factor maps a set to
+    a*B + b*C and a segment of sign pair (s, t) to s*B + C*Seg(s, t).
+    Every skeleton edge keeps |C| and |A| and raises the phase, or is a
+    big factor that raises |C|, or raises |A| from a nonzero A, so one
+    pass in (|C|, |A|, phase) order is complete."""
+    sets, segs = {}, {}
+    for node in sorted(into, key=lambda n: (abs(n[1]), abs(n[0]), n[2])):
+        comps = [] if into[node] else [(0, 0)]
+        for src, label in into[node]:
+            C = src[1]
+            if isinstance(label, int):
+                g = gens[label]
+                comps += [(g.a * b + g.b * C, g.a * st)
+                          for b, st in sets[src].components]
+            else:
+                s = label[0]
+                if (label, C) not in segs:
+                    segs[label, C] = [(C * b, C * st) for b, st
+                                      in seg_sets[label].components]
+                comps += ray_sums([(s * b, s * st) for b, st
+                                   in sets[src].components], segs[label, C])
+        sets[node] = SemilinearSet(tuple(comps))
+    return sets
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +225,100 @@ def _plan_prm(gens, x2, seq, flagged):
     return Prm(tuple(states), tuple(trans)), origin
 
 
+def _liveness(gens, y, ratio, flagged):
+    """Exact test live(v2, v1, f) of a configuration v = R*x, where f says
+    that R has a zero top-left entry: some left factor L has L*v == y,
+    that is C_L == y2/v2 and A_L*v1 + B_L*v2 == y1, and A_L == 0 unless
+    f is set when flagged.  Every C_L divides ratio, so the top-right DP
+    over the pairs (A, C) with C | ratio lists every candidate L; it is
+    finite because each big factor has |c| > 1."""
+    seg_sets, _, _ = _segment_sets(gens)
+    into = _diag_skeleton(gens, seg_sets, lambda A, C: ratio % C == 0)
+    lefts = {}  # C -> [(A, top-right set)] over whole products
+    for (A, C, phase), tops in _top_right_sets(gens, into, seg_sets).items():
+        if phase == 1:
+            lefts.setdefault(C, []).append((A, tops))
+    y1, y2 = y.v1, y.v2
+
+    def live(v2, v1, f):
+        C, r = divmod(y2, v2)
+        if r:
+            return False
+        for A, tops in lefts.get(C, ()):
+            if flagged and A and not f:
+                continue
+            q, r = divmod(y1 - A * v1, v2)
+            if not r and tops.member(q):
+                return True
+        return False
+    return live
+
+
+def _live_search(gens, x, y, budget, flagged) -> Verdict:
+    """Exact answer for generators whose |c| = 1 entries all have
+    |a| = 1.  A dead start is a structural No; otherwise a breadth-first
+    search over configurations (v2, v1, f) stores only live ones, so it
+    ends at the goal with a shortest witness, unless the budget runs out
+    first.  Generators run outer and the frontier inner, as in the
+    oracle's prepend order, so a plain vector-reachability witness is the
+    oracle's own."""
+    live = _liveness(gens, y, y.v2 // x.v2, flagged)
+    start = (x.v2, x.v1, 0)
+    goal = (y.v2, y.v1, int(flagged))
+    if not live(*start):
+        return no("structural")
+    if start == goal:
+        return yes(())
+    steps = [(g.a, g.b, g.c, int(flagged and g.a == 0)) for g in gens]
+    cap = budget.max_magnitude
+    parent = {start: None}
+    frontier = [start]
+    pruned = False
+    while frontier:
+        nxt = []
+        for j, (a, b, c, z) in enumerate(steps):
+            for conf in frontier:
+                v2, v1, f = conf
+                new = (c * v2, a * v1 + b * v2, f | z)
+                if new in parent or not live(*new):
+                    continue
+                if cap is not None and abs(new[1]) > cap:
+                    pruned = True
+                    continue
+                if len(parent) >= budget.max_steps:
+                    return unknown()
+                parent[new] = (conf, j)
+                if new == goal:
+                    word = []
+                    while parent[new] is not None:
+                        new, j = parent[new]
+                        word.append(j)
+                    return yes(tuple(word))
+                nxt.append(new)
+        frontier = nxt
+    if not pruned:
+        raise AssertionError(f"live start {start} never reached {goal}")
+    return unknown()
+
+
 def _vecreach_nonzero(gens, x, y, budget, flagged) -> Verdict:
     """x2 != 0 and y2 != 0 case; when flagged, accepted runs must apply
-    at least one generator with a zero top-left entry."""
+    at least one generator with a zero top-left entry.  Generator sets
+    with a |c| = 1 entry whose |a| != 1, and live searches that run out
+    of budget, take one register-machine search per big-factor plan."""
     if y.v2 % x.v2 != 0:
         return no("structural")
     if flagged and not any(g.a == 0 for g in gens):
         return no("structural")
     ratio = y.v2 // x.v2
+    if _diag_product_word([g.c for g in gens], ratio) is None:
+        return no("structural")  # no product has this bottom-right
+    if all(abs(g.a) == 1 for g in gens if abs(g.c) == 1):
+        v = _live_search(gens, x, y, budget, flagged)
+        if v.definitive:
+            return v
+        # a live start has a witness: the plan searches below may still
+        # find one within their budgets
     verdicts = []
     for seq in _big_sequences(gens, ratio):
         prm, origin = _plan_prm(gens, x.v2, seq, flagged)
@@ -160,8 +339,9 @@ def solve_vecreach_ut22(gens, x: Vec2, y: Vec2,
 
     The second component only ever gets multiplied, so either both x2
     and y2 are zero (reducing to a product over top-left entries) or the
-    big bottom-right factors form one of finitely many sequences, each
-    checked by a register-machine search.
+    big bottom-right factors are finitely many: the top-right DP decides
+    the question, or, outside its fragment, each sequence of big factors
+    is checked by a register-machine search.
     """
     _require(gens, "c", "bottom-right")
     if x.v2 == 0 or y.v2 == 0:
@@ -180,87 +360,26 @@ def solve_vecreach_ut22(gens, x: Vec2, y: Vec2,
 # Membership for nonzero diagonals
 
 
-def _scale_set(s: SemilinearSet, k: int) -> SemilinearSet:
-    return SemilinearSet(tuple((k * b, k * st) for b, st in s.components))
-
-
-def _segment_sets(gens):
-    """Per sign pair: the set of top-right entries of unit-diagonal
-    products with that diagonal, and the index map into gens."""
-    unit_idx = [i for i, g in enumerate(gens)
-                if abs(g.a) == 1 and abs(g.c) == 1]
-    unit = [gens[i] for i in unit_idx]
-    zv = build_zvass(unit)
-    sets = {st: _scale_set(value_set(zv, (1, 1), st), st[1])
-            for st in SIGN_STATES}
-    return sets, unit, unit_idx
-
-
-def _diag_skeleton(gens, signs, ta, tc):
-    """Integer skeleton of the membership DP: nodes (A, C, phase) with
-    A | ta and C | tc, the diagonal of a product suffix whose last
-    prepended part was a big factor or nothing (phase 0) or a unit
-    segment (phase 1).  Maps each node on a path from (1, 1, 0) to
-    (ta, tc, 1) to its incoming (predecessor, label) edges, labelled by
-    a segment's sign pair or a big generator's index."""
-    big = [i for i, g in enumerate(gens) if abs(g.a) > 1 or abs(g.c) > 1]
-    start, goal = (1, 1, 0), (ta, tc, 1)
-    into, todo = {start: []}, [start]
-    while todo:
-        node = todo.pop()
-        A, C, phase = node
-        if phase == 0:
-            steps = [((s * A, t * C, 1), (s, t)) for s, t in signs]
-        else:
-            steps = [((gens[i].a * A, gens[i].c * C, 0), i) for i in big]
-        for dst, label in steps:
-            if ta % dst[0] == 0 and tc % dst[1] == 0:
-                if dst not in into:
-                    todo.append(dst)
-                into.setdefault(dst, []).append((node, label))
-    live = set()
-    stack = [goal] if goal in into else []
-    while stack:
-        node = stack.pop()
-        if node not in live:
-            live.add(node)
-            stack += [src for src, _ in into[node]]
-    return {node: [e for e in into[node] if e[0] in live] for node in live}
-
-
 def solve_membership_nonzero_diag(gens, target: UTMat) -> Verdict:
     """Exact membership when generators and target have no zero diagonal
     entries.
 
     A product alternates unit-diagonal segments with big factors (a
-    diagonal entry of magnitude > 1).  Prepending (a b; 0 c) to (A B; 0 C)
-    gives (aA, aB + bC; 0, cC), so a dynamic programme over the signed
-    divisor pairs (A, C) of the target diagonal carries the semilinear
-    set of top-right entries B: a big factor maps it to a*B + b*C, a
-    segment of sign pair (s, t) to s*B + C*Seg(s, t).  Big factors
-    strictly grow |A*C|, so one pass in that order is complete."""
+    diagonal entry of magnitude > 1), so the top-right DP over the signed
+    divisor pairs (A, C) of the target diagonal decides it; the word is
+    read back along the DP's edges."""
     _require(gens, "a", "top-left")
     _require(gens, "c", "bottom-right")
     if not isinstance(target, UTMat) or target.a == 0 or target.c == 0:
         raise ValueError("target must have a nonzero diagonal")
     if target == UTMat.identity():
         return yes(())
+    ta, tc = target.a, target.c
+    goal = (ta, tc, 1)
     seg_sets, unit, unit_idx = _segment_sets(gens)
-    signs = [st for st in SIGN_STATES if not seg_sets[st].is_empty()]
-    into = _diag_skeleton(gens, signs, target.a, target.c)
-    goal = (target.a, target.c, 1)
-    sets = {}
-    for node in sorted(into, key=lambda n: (abs(n[0] * n[1]), n[2])):
-        comps = () if into[node] else ((0, 0),)
-        for src, label in into[node]:
-            if isinstance(label, int):
-                g = gens[label]
-                comps += tuple((g.a * b + g.b * src[1], g.a * st)
-                               for b, st in sets[src].components)
-            else:
-                comps += _scale_set(sets[src], label[0]).sum(
-                    _scale_set(seg_sets[label], src[1])).components
-        sets[node] = SemilinearSet(comps)
+    into = _diag_skeleton(gens, seg_sets,
+                          lambda A, C: ta % A == 0 and tc % C == 0, goal)
+    sets = _top_right_sets(gens, into, seg_sets)
     if goal not in sets or not sets[goal].member(target.b):
         return no("structural")
     # walk the edges back from the goal; the word comes out left to right

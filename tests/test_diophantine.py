@@ -112,7 +112,9 @@ def test_semilinear_membership_union_sum():
     t = SemilinearSet.singleton(5)
     u = s.union(t)
     assert u.member(5) and u.member(4)
-    total = s.sum(s)  # 2 + 3N + 3N = 2 + 3N
+    # 2 + 3N + 3N = 2 + 3N
+    total = SemilinearSet(tuple(diophantine.ray_sums(s.components,
+                                                     s.components)))
     assert agrees(total, lambda v: v >= 2 and v % 3 == 2, -10, 40)
 
 
@@ -121,6 +123,46 @@ def test_semilinear_downward_and_two_sided():
     assert down.member(-6) and not down.member(2) and not down.member(-3)
     coset = SemilinearSet(((1, 4), (1, -4)))
     assert agrees(coset, lambda v: v % 4 == 1, -30, 30)
+
+
+def _ray_in(c1, c2):
+    """Is ray c1 a subset of ray c2?"""
+    (b1, s1), (b2, s2) = c1, c2
+    if not diophantine._ray_member(b2, s2, b1):
+        return False
+    if s1 == 0:
+        return True
+    return s2 != 0 and s1 % s2 == 0 and s1 * s2 > 0
+
+
+def _quadratic_prune(comps):
+    """The pairwise containment sweep _prune replaced: drop a ray kept
+    rays contain, or one another ray strictly contains."""
+    out = []
+    for i, c in enumerate(comps):
+        others = comps[:i] + comps[i + 1:]
+        if any(_ray_in(c, o) for o in out) or \
+           any(_ray_in(c, o) and not _ray_in(o, c) for o in others):
+            continue
+        out.append(c)
+    return out
+
+
+def test_prune_matches_quadratic_sweep():
+    rng = random.Random(38)
+    steps = (0, 1, -1, 2, -2, 3, -3, 4, -4, 6, -6, 12)
+    for _ in range(3000):
+        comps = list(dict.fromkeys(
+            (rng.randint(-20, 20), rng.choice(steps))
+            for _ in range(rng.randint(0, 40))))
+        assert diophantine._prune(comps) == _quadratic_prune(comps), comps
+    # above 512 rays the old sweep gave up; the one pass still returns
+    # exactly the rays that lie in no other ray
+    comps = list(dict.fromkeys(
+        (rng.randint(-200, 200), rng.choice(steps)) for _ in range(700)))
+    assert len(comps) > 512
+    assert diophantine._prune(comps) == [
+        c for c in comps if not any(_ray_in(c, o) for o in comps if o != c)]
 
 
 def test_combo_value_set_matches_pointwise_query():

@@ -137,13 +137,17 @@ def _reference_reach_prm(m, src, dst, budget):
 
 def _random_prm(rng, kind):
     """Up to 4 states and 7 transitions.  "monotone": affine with slope
-    >= 1, so the monotone bounds are on; "free": zero, negative and
-    positive slopes and constants; "poly": "free" plus degree-2 updates."""
+    >= 1, so the monotone bounds are on; "bounded": "monotone" with about
+    a third of the updates constant, (b,) or (b, 0), which keeps them on;
+    "free": zero, negative and positive slopes and constants; "poly":
+    "free" plus degree-2 updates."""
     states = tuple(f"s{i}" for i in range(rng.randint(1, 4)))
     trans = []
     for _ in range(rng.randint(0, 7)):
         b = rng.randint(-4, 4)
-        if kind == "monotone":
+        if kind == "bounded" and rng.random() < 0.35:
+            p = rng.choice(((b,), (b, 0)))
+        elif kind in ("monotone", "bounded"):
             p = (b, rng.randint(1, 3))
         elif kind == "poly" and rng.random() < 0.4:
             p = (b, rng.randint(-2, 2), rng.choice((-1, 1)))
@@ -204,24 +208,32 @@ def test_reach_prm_cap_and_budget_edge_cases():
 def _reaching_configs(m, dst, cap):
     """Every (state, value) with |value| <= cap from which dst is reached
     through values within the cap: a backward search, exact for affine
-    updates with nonzero slope."""
+    updates with nonzero slope and for constants."""
     seen = {dst}
     stack = [dst]
     while stack:
         q, v = stack.pop()
-        for s, d, (b, a) in m.transitions:
-            if d == q and (v - b) % a == 0 and abs((v - b) // a) <= cap:
-                pre = (s, (v - b) // a)
-                if pre not in seen:
-                    seen.add(pre)
-                    stack.append(pre)
+        for s, d, p in m.transitions:
+            b, a = p[0], p[1] if len(p) == 2 else 0
+            if d != q:
+                continue
+            if a == 0:
+                pres = range(-cap, cap + 1) if v == b else ()
+            elif (v - b) % a == 0 and abs((v - b) // a) <= cap:
+                pres = ((v - b) // a,)
+            else:
+                pres = ()
+            for u in pres:
+                if (s, u) not in seen:
+                    seen.add((s, u))
+                    stack.append((s, u))
     return seen
 
 
 def test_monotone_bounds_are_sound():
     rng = random.Random(9)
     for _ in range(300):
-        m = _random_prm(rng, "monotone")
+        m = _random_prm(rng, "bounded")
         dst = (rng.choice(m.states), rng.randint(-20, 20))
         up, down = _monotone_bounds(m, dst)
         for q, v in _reaching_configs(m, dst, 400):
@@ -229,7 +241,10 @@ def test_monotone_bounds_are_sound():
             assert up[i] is not NEG_INF and down[i] is not POS_INF
             assert up[i] is POS_INF or v <= up[i], (m, dst, q, v)
             assert down[i] is NEG_INF or v >= down[i], (m, dst, q, v)
+    # a constant edge that misses the target's interval is dead
     assert _monotone_bounds(Prm(("q",), (("q", "q", (1, 0)),)),
+                            ("q", 0)) == ([0], [0])
+    assert _monotone_bounds(Prm(("q",), (("q", "q", (1, -1)),)),
                             ("q", 0)) is None
 
 

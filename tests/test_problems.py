@@ -3,7 +3,7 @@
 import pytest
 
 from semireach import problems as P
-from semireach.core import UTMat, Vec2
+from semireach.core import AffineMap, UTMat, Vec2
 from semireach.problems import (Budget, ProblemInstance, Verdict, no, unknown,
                                 yes)
 
@@ -22,6 +22,25 @@ def test_required_fields_enforced():
         ProblemInstance(P.SCALAR_REACHABILITY, g, x=Vec2(0, 1), y=Vec2(1, 0))
     with pytest.raises(ValueError):
         ProblemInstance("not-a-problem", g)
+
+
+def test_affine_maps_match_their_tag():
+    half = AffineMap.make(1, 0, 2, "Q")
+    ProblemInstance(P.AFFINE_REACHABILITY_Q, (half,), x=4, y=1)
+    ProblemInstance(P.AFFINE_MEMBERSHIP_Z, (AffineMap(2, 1),),
+                    target=AffineMap(4, 3))
+    # a Q map under a Z tag would be read one way by the matrix encoding
+    # and another by the oracle
+    with pytest.raises(ValueError):
+        ProblemInstance(P.AFFINE_REACHABILITY_Z, (half,), x=4, y=1)
+    with pytest.raises(ValueError):
+        ProblemInstance(P.AFFINE_REACHABILITY_Q, (AffineMap(1, 1),),
+                        x=4, y=1)
+    with pytest.raises(ValueError):
+        ProblemInstance(P.AFFINE_MEMBERSHIP_Z, (AffineMap(2, 1),),
+                        target=AffineMap.make(1, 0, 1, "Q"))
+    with pytest.raises(ValueError):
+        ProblemInstance(P.AFFINE_REACHABILITY_Z, (UTMat(1, 1, 1),), x=4, y=1)
 
 
 def test_budget_validation():

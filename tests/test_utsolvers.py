@@ -322,3 +322,80 @@ def test_ut_mortality():
     assert not mortal((UTMat(0, 1, 1),))
     assert mortal((UTMat(0, 1, 0),))
     assert not mortal(())
+
+
+def _fragment_gens(rng, zero):
+    """Generators whose |c| = 1 entries all have |a| = 1: unit-diagonal
+    ones and big ones with |c| in {2, 3}, the first big one with a zero
+    top-left entry when zero is set."""
+    gens = [UTMat(rng.choice((-1, 1)), rng.randint(-2, 2), rng.choice((-1, 1)))
+            for _ in range(rng.randint(0, 2))]
+    gens += [UTMat(0 if zero and k == 0 else rng.randint(-3, 3),
+                   rng.randint(-3, 3), rng.choice((-3, -2, 2, 3)))
+             for k in range(rng.randint(1, 2))]
+    rng.shuffle(gens)
+    return tuple(gens)
+
+
+def test_exact_vecreach_matches_oracle():
+    # inside the fragment the DP's liveness test is exact: a No is never
+    # contradicted, and the live-only search finds a witness exactly as
+    # short as the oracle's
+    rng = random.Random(37)
+    big = PrmBudget(1 << 16, 10 ** 9)
+    yes_seen = no_seen = 0
+    for i in range(240):
+        gens = _fragment_gens(rng, zero=i % 2)
+        word = [rng.randrange(len(gens)) for _ in range(rng.randint(0, 5))]
+        prod = UTMat.identity()
+        for j in word:
+            prod = prod * gens[j]
+        bump = rng.choice((0, 0, 1, -2))
+        if i % 2:
+            # flagged: a top-left-zero target, answered through the
+            # one-zero membership solver
+            t = UTMat(0, prod.b + bump, prod.c)
+            inst, got = _member(gens, t), solve_membership_one_zero(
+                gens, t, big)
+        else:
+            x = Vec2(rng.randint(-3, 3), rng.choice((-2, -1, 1, 2)))
+            y = prod.apply(x)
+            y = Vec2(y.v1 + bump, y.v2)
+            inst = _vec(gens, x, y)
+            got = solve_vecreach_ut22(gens, x, y, big)
+        want = oracle_solve(inst, B)
+        assert got.definitive, inst
+        if got.is_yes:
+            assert replay(inst, got.witness), inst
+            yes_seen += 1
+        else:
+            # a dead start, decided without any search
+            assert got.certificate == "structural", inst
+            no_seen += 1
+            assert not want.is_yes, inst
+        if want.is_yes:
+            assert got.is_yes and len(got.witness) == len(want.witness), inst
+    assert yes_seen > 50 and no_seen > 50
+    # Unknown at max_steps=1024 under one register-machine search per
+    # big-factor plan; the oracle's witness
+    gens = (UTMat(-1, 2, -1), UTMat(-1, 2, -1), UTMat(3, -2, -2),
+            UTMat(3, -1, 4))
+    v = solve_vecreach_ut22(gens, Vec2(-1, -1), Vec2(683, 128),
+                            PrmBudget(1024, 10 ** 6))
+    assert v.witness == (2, 0, 0, 3, 3, 0, 2, 0, 2)
+
+
+def test_live_search_out_of_budget_falls_back_to_plan_searches():
+    # the shortest witness has 10 factors, and the live search stores
+    # 1,784 configurations before it finds one; at 1,024 it runs out, and
+    # the per-plan register-machine searches find an 11-factor witness
+    gens = (UTMat(1, -2, 1), UTMat(-1, -2, -1), UTMat(3, -3, -2),
+            UTMat(-2, -3, 3))
+    x, y = Vec2(2, -1), Vec2(-1476, -72)
+    inst = _vec(gens, x, y)
+    v = solve_vecreach_ut22(gens, x, y, PrmBudget(1024, 10 ** 6))
+    assert v.is_yes and len(v.witness) == 11 and replay(inst, v.witness)
+    v = solve_vecreach_ut22(gens, x, y, PrmBudget(2048, 10 ** 6))
+    assert v.is_yes and len(v.witness) == 10 and replay(inst, v.witness)
+    # a live start is never a No, even when every search runs out
+    assert solve_vecreach_ut22(gens, x, y, PrmBudget(8)).kind == "unknown"
