@@ -509,6 +509,10 @@ class _Cli(click.Group):
             raise
 
 
+MAX_STEPS_HELP = ("stored-configuration cap for register-machine search and "
+                  "the upper-triangular live search")
+
+
 @click.group(cls=_Cli)
 def main():
     """Decision procedures for 2x2 matrix and affine reachability."""
@@ -522,7 +526,7 @@ def main():
 @click.option("--max-magnitude", default=10 ** 6, show_default=True,
               help="entry-magnitude cap for search-based solvers")
 @click.option("--max-steps", default=4096, show_default=True,
-              help="stored-configuration cap for register-machine search")
+              help=MAX_STEPS_HELP)
 def solve(instance, solver, max_len, max_magnitude, max_steps):
     """Solve the instance in INSTANCE (a JSON file, or - for stdin)."""
     try:
@@ -638,7 +642,8 @@ def gen(family, avals, target_sum, variant, seed, problem, count):
                                  "mortality", "random")))
 @click.option("--max-len", default=8, show_default=True)
 @click.option("--max-magnitude", default=10 ** 6, show_default=True)
-@click.option("--max-steps", default=4096, show_default=True)
+@click.option("--max-steps", default=4096, show_default=True,
+              help=MAX_STEPS_HELP)
 def xcheck(count, seed, family, max_len, max_magnitude, max_steps):
     """Cross-check the routed solver against the brute-force oracle on
     seeded random instances and report definitive disagreements."""

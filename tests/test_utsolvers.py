@@ -17,7 +17,7 @@ from semireach.core import UTMat, Vec2
 from semireach.machines import PrmBudget
 from semireach.oracle import oracle_solve, replay
 from semireach.problems import Budget, ProblemInstance
-from semireach.utsolvers import (_signed_divisors,
+from semireach.utsolvers import (_lattice_prm, _signed_divisors,
                                  reduce_membership_to_scalar,
                                  solve_membership_nonzero_diag,
                                  solve_membership_one_zero,
@@ -340,9 +340,12 @@ def _fragment_gens(rng, zero):
 def test_exact_vecreach_matches_oracle():
     # inside the fragment the DP's liveness test is exact: a No is never
     # contradicted, and the live-only search finds a witness exactly as
-    # short as the oracle's
+    # short as the oracle's.  With max_steps 1, or values capped at 16,
+    # a live start is still a Yes: its witness is read back along the
+    # DP's edges (through top-left-zero factors on the flagged half)
     rng = random.Random(37)
     big = PrmBudget(1 << 16, 10 ** 9)
+    small = (PrmBudget(1), PrmBudget(4096, 16))
     yes_seen = no_seen = 0
     for i in range(240):
         gens = _fragment_gens(rng, zero=i % 2)
@@ -355,18 +358,23 @@ def test_exact_vecreach_matches_oracle():
             # flagged: a top-left-zero target, answered through the
             # one-zero membership solver
             t = UTMat(0, prod.b + bump, prod.c)
-            inst, got = _member(gens, t), solve_membership_one_zero(
-                gens, t, big)
+            inst = _member(gens, t)
+            runs = [solve_membership_one_zero(gens, t, pb)
+                    for pb in (big,) + small]
         else:
             x = Vec2(rng.randint(-3, 3), rng.choice((-2, -1, 1, 2)))
             y = prod.apply(x)
             y = Vec2(y.v1 + bump, y.v2)
             inst = _vec(gens, x, y)
-            got = solve_vecreach_ut22(gens, x, y, big)
+            runs = [solve_vecreach_ut22(gens, x, y, pb)
+                    for pb in (big,) + small]
+        got = runs[0]
         want = oracle_solve(inst, B)
-        assert got.definitive, inst
+        for v in runs:
+            assert v.definitive and v.kind == got.kind, inst
+            if v.is_yes:
+                assert replay(inst, v.witness), inst
         if got.is_yes:
-            assert replay(inst, got.witness), inst
             yes_seen += 1
         else:
             # a dead start, decided without any search
@@ -385,17 +393,78 @@ def test_exact_vecreach_matches_oracle():
     assert v.witness == (2, 0, 0, 3, 3, 0, 2, 0, 2)
 
 
-def test_live_search_out_of_budget_falls_back_to_plan_searches():
+def test_live_search_out_of_budget_reads_the_dp_witness():
     # the shortest witness has 10 factors, and the live search stores
-    # 1,784 configurations before it finds one; at 1,024 it runs out, and
-    # the per-plan register-machine searches find an 11-factor witness
+    # 1,784 configurations before it finds one; with fewer, the start is
+    # still live, and the word read back along the DP's edges is the
+    # answer
     gens = (UTMat(1, -2, 1), UTMat(-1, -2, -1), UTMat(3, -3, -2),
             UTMat(-2, -3, 3))
     x, y = Vec2(2, -1), Vec2(-1476, -72)
     inst = _vec(gens, x, y)
-    v = solve_vecreach_ut22(gens, x, y, PrmBudget(1024, 10 ** 6))
-    assert v.is_yes and len(v.witness) == 11 and replay(inst, v.witness)
+    for pb in (PrmBudget(1024, 10 ** 6), PrmBudget(8)):
+        v = solve_vecreach_ut22(gens, x, y, pb)
+        assert v.is_yes and len(v.witness) == 25 and replay(inst, v.witness)
     v = solve_vecreach_ut22(gens, x, y, PrmBudget(2048, 10 ** 6))
     assert v.is_yes and len(v.witness) == 10 and replay(inst, v.witness)
-    # a live start is never a No, even when every search runs out
-    assert solve_vecreach_ut22(gens, x, y, PrmBudget(8)).kind == "unknown"
+
+
+def _lattice_brute(cs, x2, y2):
+    """The values on some x2 -> y2 path under multiplication by cs,
+    searched over every |v| <= |y2| without divisibility pruning."""
+    succ, todo = {x2: set()}, [x2]
+    while todo:
+        v = todo.pop()
+        for c in cs:
+            if abs(c * v) <= abs(y2):
+                succ[v].add(c * v)
+                if c * v not in succ:
+                    succ[c * v] = set()
+                    todo.append(c * v)
+    on_path = {y2} if y2 in succ else set()
+    grew = True
+    while grew:
+        grew = False
+        for v, nxt in succ.items():
+            if v not in on_path and nxt & on_path:
+                on_path.add(v)
+                grew = True
+    return on_path
+
+
+def test_lattice_machine():
+    rng = random.Random(41)
+    for i in range(200):
+        flagged = i % 2 == 1
+        gens = tuple(UTMat(rng.randint(-3, 3), rng.randint(-3, 3),
+                           rng.choice((-3, -2, -1, 1, 2, 3)))
+                     for _ in range(rng.randint(1, 4)))
+        x2 = rng.choice((-2, -1, 1, 3))
+        # mostly a product of bottom-right entries, sometimes any multiple
+        cs = [g.c for g in gens] if i % 4 < 3 else [-6, -3, 2, 4, 8]
+        y2 = x2 * math.prod(rng.choice(cs) for _ in range(rng.randint(0, 5)))
+        prm, origin = _lattice_prm(gens, x2, y2, flagged)
+        want = _lattice_brute([g.c for g in gens], x2, y2)
+        flags = (0, 1) if flagged else (0,)
+        assert set(prm.states) == {(f, v) for f in flags for v in want}
+        # one transition per generator move inside the lattice
+        moves = {((f, v), i) for f, v in prm.states
+                 for i, g in enumerate(gens) if g.c * v in want}
+        assert len(origin) == len(moves)
+        for ((f, v), (nf, nv), p), i in zip(prm.transitions, origin):
+            g = gens[i]
+            assert ((f, v), i) in moves and nv == g.c * v
+            assert nf == (1 if flagged and g.a == 0 else f)
+            assert p == (g.b * v, g.a)
+    # one search over the lattice, where one search per ordering of the
+    # big factors ran 2,187 and 729 of them
+    for gens, x, y in (
+            ((UTMat(-2, 0, -1), UTMat(-1, 3, -2), UTMat(-2, 0, -2),
+              UTMat(-1, 3, -2)), Vec2(-1, 1), Vec2(395, -128)),
+            ((UTMat(-3, -2, 2), UTMat(-2, 0, -2), UTMat(0, 2, -2),
+              UTMat(3, -3, -1)), Vec2(-3, 1), Vec2(-895, -64))):
+        t0 = time.process_time()
+        v = solve_vecreach_ut22(gens, x, y, PB)
+        assert time.process_time() - t0 < 1.0
+        if v.is_yes:
+            assert replay(_vec(gens, x, y), v.witness)
