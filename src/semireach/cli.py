@@ -86,6 +86,13 @@ def _dec_rat(s) -> Fraction:
     return Fraction(_dec_int(num))
 
 
+def _dec_list(doc, what: str, length) -> list:
+    """doc, if it is a JSON list of the given length (None: any)."""
+    if not isinstance(doc, list) or length not in (None, len(doc)):
+        raise SchemaError(f"bad {what} encoding {doc!r}")
+    return doc
+
+
 def _enc_matrix(m):
     if isinstance(m, UTMat):
         return [_enc_int(m.a), _enc_int(m.b), _enc_int(m.c)]
@@ -94,9 +101,7 @@ def _enc_matrix(m):
 
 
 def _dec_matrix(doc):
-    if not isinstance(doc, list):
-        raise SchemaError(f"bad matrix encoding {doc!r}")
-    if len(doc) == 3:
+    if len(_dec_list(doc, "matrix", None)) == 3:
         return UTMat(*(_dec_int(v) for v in doc))
     if len(doc) == 2 and all(isinstance(r, list) and len(r) == 2 for r in doc):
         return Mat2(*(_dec_int(v) for r in doc for v in r))
@@ -119,9 +124,7 @@ def _enc_vec(v: Vec2):
 
 
 def _dec_vec(doc) -> Vec2:
-    if not isinstance(doc, list) or len(doc) != 2:
-        raise SchemaError(f"bad vector encoding {doc!r}")
-    return Vec2(_dec_int(doc[0]), _dec_int(doc[1]))
+    return Vec2(*(_dec_int(v) for v in _dec_list(doc, "vector", 2)))
 
 
 def _enc_machine(m):
@@ -138,15 +141,17 @@ def _dec_machine(doc, problem: str):
     if not isinstance(doc, dict) or "states" not in doc \
             or "transitions" not in doc:
         raise SchemaError("machine needs states and transitions")
-    states = tuple(doc["states"])
+    states = tuple(_dec_list(doc["states"], "machine states", None))
     if not all(isinstance(q, str) for q in states):
         raise SchemaError("machine states must be strings")
+    trans = [_dec_list(tr, "machine transition", 3) for tr in
+             _dec_list(doc["transitions"], "machine transitions", None)]
     if problem == BCA_REACHABILITY:
         return Bca(states, _dec_int(doc["bound"]),
-                   tuple((s, _dec_int(p), d)
-                         for s, p, d in doc["transitions"]))
+                   tuple((s, _dec_int(p), d) for s, p, d in trans))
+    arm = [(s, d, _dec_list(p, "ARM polynomial", None)) for s, d, p in trans]
     return Prm(states, tuple((s, d, tuple(_dec_int(c) for c in p))
-                             for s, d, p in doc["transitions"]))
+                             for s, d, p in arm))
 
 
 def _enc_config(conf):
@@ -154,10 +159,10 @@ def _enc_config(conf):
 
 
 def _dec_config(doc):
-    if not isinstance(doc, list) or len(doc) != 2 \
-            or not isinstance(doc[0], str):
-        raise SchemaError(f"bad machine configuration {doc!r}")
-    return (doc[0], _dec_int(doc[1]))
+    q, c = _dec_list(doc, "machine configuration", 2)
+    if not isinstance(q, str):
+        raise SchemaError(f"bad machine configuration encoding {doc!r}")
+    return (q, _dec_int(c))
 
 
 _VECTOR_TAGS = (P.VECTOR_REACHABILITY, P.SCALAR_REACHABILITY,
@@ -210,10 +215,8 @@ def parse_instance(doc):
         if p not in _CODECS:
             raise SchemaError(f"unknown problem tag {p!r}")
         (_, dec_gen), fields = _CODECS[p]
-        gens_doc = doc.get("generators", [])
-        if not isinstance(gens_doc, list):
-            raise SchemaError("generators must be a list")
-        return ProblemInstance(p, tuple(dec_gen(g) for g in gens_doc),
+        gens = _dec_list(doc.get("generators", []), "generators", None)
+        return ProblemInstance(p, tuple(dec_gen(g) for g in gens),
                                **{name: dec(doc[key])
                                   for name, key, _, dec in fields})
     except KeyError as e:

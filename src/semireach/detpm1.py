@@ -1,96 +1,63 @@
 """Exact solvers for upper-triangular generator sets whose determinants
-are all +-1: a sign-pair weighted automaton whose run values capture
-top-right entries, semilinear run-value sets, and budget-free decision
-procedures for membership, vector reachability, and scalar reachability.
+are all +-1: the semilinear set of top-right entries of the products
+with a given diagonal sign pair, a word for each of its members, and
+budget-free decision procedures for membership, vector reachability,
+and scalar reachability.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd
-
 from . import problems as P
 from .core import UTMat
 from .diophantine import (LinearSystem, SemilinearSet, combo_value_set,
-                          nonneg_combination, solve_linear)
+                          nonneg_combination, solution_values, solve_linear)
 from .problems import ProblemInstance, Verdict, no, yes
 
 SIGN_STATES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
-
-@dataclass(frozen=True)
-class ZVass:
-    """Weighted automaton over the four diagonal-sign pairs.
-
-    One transition per (state, generator): from (s, t), the generator
-    (s' a'; 0 t') moves to (s*s', t*t') with weight s*t*t'*a'.  A run
-    from (+1,+1) with value a corresponds to a product (s_n, t_n*a;
-    0, t_n) where (s_n, t_n) is the state reached.
-    """
-
-    transitions: tuple = ()  # (src state, weight, dst state)
-
-
-def build_zvass(gens) -> ZVass:
-    """Transitions in state-major, generator-minor order."""
-    trans = []
-    for s, t in SIGN_STATES:
-        for g in gens:
-            if abs(g.a) != 1 or abs(g.c) != 1:
-                raise ValueError(f"generator {g} has a diagonal entry "
-                                 "outside {-1, 1}")
-            trans.append(((s, t), s * t * g.c * g.b, (s * g.a, t * g.c)))
-    return ZVass(tuple(trans))
-
-
-# Per-generator shape, read off the transitions leaving (+1,+1): the
-# class is the sign pair the generator moves (+1,+1) to, and the weight
-# there is the generator's contribution while the running determinant
-# sign is +1.  Applying a "p" or "n" generator keeps the determinant
-# sign; "u" and "v" flip it.  A generator contributes +weight when the
-# current determinant sign is +1 and -weight when it is -1, so a run's
-# value depends only on how often each generator fires under each sign.
+# A product (s b; 0 t) has the run value t*b.  Appending a generator
+# (a' b'; 0 c') adds s*t*c'*b': the generator's weight c'*b' with the
+# sign of the running determinant s*t.  A generator's class is its
+# diagonal sign pair: "p" and "n" generators keep the determinant sign,
+# "u" and "v" flip it, so a run value depends only on how often each
+# generator fires under each sign.
 _CLASS_OF = {(1, 1): "p", (-1, -1): "n", (1, -1): "u", (-1, 1): "v"}
 
 
-def _classes(v: ZVass):
-    """[(class, weight-from-(+1,+1))] in generator order."""
-    return [(_CLASS_OF[dst], w) for src, w, dst in v.transitions
-            if src == (1, 1)]
+def _classes(gens, s, t):
+    """[(class, weight)] in generator order, after checking that the
+    generators and the diagonal (s, t) have entries in {-1, 1}."""
+    if (s, t) not in _CLASS_OF:
+        raise ValueError(f"not a sign pair: {(s, t)!r}")
+    for g in gens:
+        if (g.a, g.c) not in _CLASS_OF:
+            raise ValueError(f"generator {g} has a diagonal entry "
+                             "outside {-1, 1}")
+    return [(_CLASS_OF[g.a, g.c], g.c * g.b) for g in gens]
 
 
-def _det1_part(cls, S, T):
-    """Value classes of runs (+1,+1) -> (S,T) using no determinant flips:
-    counts z >= 0 per generator, n-class count parity fixed by S."""
-    if S != T:
-        return SemilinearSet.empty()
-    coeffs = [w for k, w in cls if k in "pn"]
-    flips = [k == "n" for k, _ in cls if k in "pn"]
-    return combo_value_set(coeffs, flips, 1 if S < 0 else 0)
-
-
-def _flip_part_classes(cls, S, T):
+def _flip_part_classes(cls, s, t):
     """Constraint systems for runs using >= 1 determinant flip.
 
     Net firing balances are free integers: d_i (positive-sign uses minus
     negative-sign uses) for sign-preserving generators, x_j likewise for
     flipping generators.  The flips alternate +,-,+,..., so sum(x) equals
     m mod 2 for m flips; per-class use-count parities pin the reached
-    sign pair.  Yields (system, value coefficients) per residual parity
-    of the n-class count.
+    sign pair (s, t).  Yields one system per residual parity of the
+    n-class count.
     """
     idx_flip = [i for i, (k, _) in enumerate(cls) if k in "uv"]
     if not idx_flip:
         return
-    rm = 0 if S * T > 0 else 1
+    rm = 0 if s * t > 0 else 1
     idx_n = tuple(i for i, (k, _) in enumerate(cls) if k == "n")
     idx_u = tuple(i for i, (k, _) in enumerate(cls) if k == "u")
     idx_v = tuple(i for i, (k, _) in enumerate(cls) if k == "v")
     nvars = len(cls)
     row = tuple(1 if i in set(idx_flip) else 0 for i in range(nvars))
     for rn in (0, 1):
-        ru = (rn + (1 if T < 0 else 0)) % 2
-        rv = (rn + (1 if S < 0 else 0)) % 2
+        ru = (rn + (1 if t < 0 else 0)) % 2
+        rv = (rn + (1 if s < 0 else 0)) % 2
         if (rn and not idx_n) or (ru and not idx_u) or (rv and not idx_v):
             continue
         sys = LinearSystem((row,), (rm,),
@@ -98,53 +65,35 @@ def _flip_part_classes(cls, S, T):
         yield sys
 
 
-def value_set(v: ZVass, frm, to) -> SemilinearSet:
-    """Exact set of run values from frm to to (the empty run included
-    when the states coincide)."""
-    for st in (frm, to):
-        if st not in SIGN_STATES:
-            raise ValueError(f"not a sign-pair state: {st!r}")
-    cls = _classes(v)
-    S, T = frm[0] * to[0], frm[1] * to[1]
-    scale = frm[0] * frm[1]
-    out = SemilinearSet.empty()
-    if (S, T) == (1, 1):
-        out = out.union(SemilinearSet.singleton(0))
-    out = out.union(_det1_part(cls, S, T))
+def value_set(gens, s, t) -> SemilinearSet:
+    """Exact set of the top-right entries b of the products (s b; 0 t),
+    the empty product included when (s, t) == (1, 1)."""
+    cls = _classes(gens, s, t)
+    comps = [(0, 0)] if (s, t) == (1, 1) else []
+    if s == t:  # runs with no determinant flip: counts z >= 0
+        pn = [(k, w) for k, w in cls if k in "pn"]
+        comps += combo_value_set([w for _, w in pn], [k == "n" for k, _ in pn],
+                                 1 if s < 0 else 0).components
     weights = [w for _, w in cls]
-    for sys in _flip_part_classes(cls, S, T):
-        res = solve_linear(sys)
-        if res.kind != "some":
-            continue
-        w0 = sum(c * x for c, x in zip(weights, res.particular))
-        h = 0
-        for vec in res.basis:
-            h = gcd(h, sum(c * x for c, x in zip(weights, vec)))
-        part = SemilinearSet.singleton(w0) if h == 0 else \
-            SemilinearSet(((w0, h), (w0, -h)))
-        out = out.union(part)
-    if scale == -1:
-        out = SemilinearSet(tuple((-b, -s) for b, s in out.components))
-    return out
+    for sys in _flip_part_classes(cls, s, t):
+        comps += solution_values(weights, sys)
+    # the top-right entry is t times the run value
+    return SemilinearSet(tuple((t * w, t * st) for w, st in comps))
 
 
-def realize_run(gens, frm, to, value):
-    """A generator-index word whose run frm -> to has the given value, or
-    None.  The product of the word (left to right) is then
-    (frm[0]*to[0], to[1]*value; 0, frm[1]*to[1]) up to the start scaling.
-    """
-    v = build_zvass(gens)
-    cls = _classes(v)
-    S, T = frm[0] * to[0], frm[1] * to[1]
-    w = frm[0] * frm[1] * value  # run value as seen from (+1,+1)
-    if (S, T) == (1, 1) and w == 0:
+def realize_run(gens, s, t, b):
+    """A generator-index word whose product (left to right) is
+    (s b; 0 t), or None."""
+    cls = _classes(gens, s, t)
+    w = t * b  # the run value
+    if (s, t) == (1, 1) and w == 0:
         return []
     # no-flip runs: nonneg counts, order irrelevant
-    if S == T:
+    if s == t:
         pn = [i for i, (k, _) in enumerate(cls) if k in "pn"]
         counts = nonneg_combination([cls[i][1] for i in pn], w,
                                     [cls[i][0] == "n" for i in pn],
-                                    1 if S < 0 else 0)
+                                    1 if s < 0 else 0)
         if counts is not None:
             word = []
             for i, zc in zip(pn, counts):
@@ -153,7 +102,7 @@ def realize_run(gens, frm, to, value):
     # flip runs: solve a balance system, then lay the word out as
     # positive-sign block, flip, negative-sign block, flip, flip, ...
     weights = [w_ for _, w_ in cls]
-    for sys in _flip_part_classes(cls, S, T):
+    for sys in _flip_part_classes(cls, s, t):
         rows = sys.rows + (tuple(weights),)
         rhs = sys.rhs + (w,)
         res = solve_linear(LinearSystem(rows, rhs, sys.parities))
@@ -192,31 +141,6 @@ def _word_product(gens, word) -> UTMat:
     return prod
 
 
-def _membership_word(gens, target: UTMat):
-    """Word with product == target (generators all det +-1), or None."""
-    s, t = target.a, target.c
-    if abs(s) != 1 or abs(t) != 1:
-        return None
-    word = realize_run(gens, (1, 1), (s, t), t * target.b)
-    if word is not None:
-        assert _word_product(gens, word) == target
-    return word
-
-
-def _diag_word(gens, s, t):
-    """Word whose product has diagonal (s, t), any top-right, or None."""
-    if (s, t) == (1, 1):
-        return []  # the empty product
-    v = build_zvass(gens)
-    vs = value_set(v, (1, 1), (s, t))
-    if vs.is_empty():
-        return None
-    a = vs.components[0][0]
-    word = realize_run(gens, (1, 1), (s, t), a)
-    assert word is not None
-    return word
-
-
 def _check_dets(gens, allowed):
     for g in gens:
         if not isinstance(g, UTMat) or g.det() not in allowed:
@@ -227,15 +151,22 @@ def _check_dets(gens, allowed):
 def _sign_split(gens, constraints) -> Verdict:
     """Yes with the first word found for a constraint (s, t, k, rem),
     else a structural No.  Each constraint asks for a product
-    (s a; 0 t) with k*a == rem: a membership query when k != 0, a
-    diagonal query when k == rem == 0."""
+    (s b; 0 t) with k*b == rem: a membership query when k != 0, a
+    diagonal query when k == rem == 0, answered with the member b of
+    least run value t*b."""
     for s, t, k, rem in constraints:
         if k:
-            word = _membership_word(gens, UTMat(s, rem // k, t)) \
-                if rem % k == 0 else None
+            b = rem // k if rem % k == 0 else None
+        elif rem:
+            b = None
+        elif (s, t) == (1, 1):
+            return yes(())  # the empty product
         else:
-            word = _diag_word(gens, s, t) if rem == 0 else None
+            runs = [t * base for base, _ in value_set(gens, s, t).components]
+            b = t * min(runs) if runs else None
+        word = None if b is None else realize_run(gens, s, t, b)
         if word is not None:
+            assert _word_product(gens, word) == UTMat(s, b, t)
             return yes(word)
     return no("structural")
 
@@ -245,17 +176,18 @@ def solve_detpm1(inst: ProblemInstance) -> Verdict:
     (or zero) reachability when every generator has determinant +-1.
     A membership target whose determinant is not +-1 is a structural No.
 
-    A product (s a; 0 t) maps x to (s*x1 + a*x2, t*x2), and
-    y^T (s a; 0 t) x == s*x1*y1 + a*x2*y1 + t*x2*y2, so vector and
-    scalar questions split into one constraint on a per sign pair."""
+    A product (s b; 0 t) maps x to (s*x1 + b*x2, t*x2), and
+    y^T (s b; 0 t) x == s*x1*y1 + b*x2*y1 + t*x2*y2, so vector and
+    scalar questions split into one constraint on b per sign pair."""
     gens = list(inst.generators)
     _check_dets(gens, {1, -1})
     p, x, y = inst.problem, inst.x, inst.y
     if p == P.MATRIX_MEMBERSHIP:
-        if not isinstance(inst.target, UTMat):
+        tg = inst.target
+        if not isinstance(tg, UTMat):
             raise ValueError("membership target must be upper-triangular")
-        word = _membership_word(gens, inst.target)
-        return yes(word) if word is not None else no("structural")
+        return _sign_split(gens, [(tg.a, tg.c, 1, tg.b)]
+                           if (tg.a, tg.c) in SIGN_STATES else [])
     if p == P.VECTOR_REACHABILITY:
         return _sign_split(gens, ((s, t, x.v2, y.v1 - s * x.v1)
                                   for s, t in SIGN_STATES

@@ -144,6 +144,21 @@ def solve_linear(sys: LinearSystem) -> LinearResult:
                         basis=tuple(tuple(h[:nvars]) for h in basis))
 
 
+def solution_values(coeffs: Sequence[int], sys: LinearSystem) -> list:
+    """The values sum(coeffs_i * x_i) over the integer solutions x of
+    sys, as rays: none without a solution, else the particular
+    solution's value w0 plus the multiples of the gcd h of the basis
+    images, (w0, h) and (w0, -h), or the singleton (w0, 0) when h == 0."""
+    res = solve_linear(sys)
+    if res.kind != "some":
+        return []
+    w0 = sum(c * x for c, x in zip(coeffs, res.particular))
+    h = 0
+    for vec in res.basis:
+        h = gcd(h, sum(c * x for c, x in zip(coeffs, vec)))
+    return [(w0, h), (w0, -h)] if h else [(w0, 0)]
+
+
 # ---------------------------------------------------------------------------
 # Nonnegative integer combinations (exact, with explicit coefficients)
 
@@ -482,15 +497,8 @@ def combo_value_set(coeffs: Sequence[int],
         flagged = tuple(i for i, f in enumerate(flips) if f)
         comps = []
         for q in parities:
-            res = solve_linear(LinearSystem(((0,) * len(coeffs),), (0,),
-                                            ((flagged, q),)))
-            if res.kind != "some":
-                continue
-            w0 = sum(c * v for c, v in zip(coeffs, res.particular))
-            h = 0
-            for vec in res.basis:
-                h = gcd(h, sum(c * v for c, v in zip(coeffs, vec)))
-            comps += [(w0, h), (w0, -h)] if h else [(w0, 0)]
+            comps += solution_values(coeffs, LinearSystem(
+                ((0,) * len(coeffs),), (0,), ((flagged, q),)))
         return SemilinearSet(tuple(comps))
     sign = -1 if has_neg else 1
     vals = [sign * c for c in coeffs]

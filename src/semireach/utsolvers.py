@@ -11,7 +11,7 @@ from typing import Optional
 from . import problems as P
 from .bridge import disjunction
 from .core import UTMat, Vec2
-from .detpm1 import _word_product, build_zvass, realize_run, value_set
+from .detpm1 import _word_product, realize_run, value_set
 from .diophantine import SemilinearSet, nonneg_combination, ray_sums
 from .machines import Prm, PrmBudget, reach_prm
 from .oracle import oracle_solve
@@ -36,48 +36,34 @@ def _remap(v: Verdict, index_map) -> Verdict:
 # Products of single diagonal entries
 
 
-def _diag_product_word(values, target) -> Optional[list]:
-    """Shortest index word whose value product equals target, or None.
-
-    For target != 0 every prefix product divides the target, so a
-    breadth-first search over signed divisors is complete.
-    """
-    if target == 0:
-        for i, v in enumerate(values):
-            if v == 0:
-                return [i]
-        return None
-    if target == 1:
-        return []
-    parent = {1: None}
+def _diag_words(values, n) -> dict:
+    """For every divisor of n != 0 that is a product of the values, a
+    shortest index word with that product, found breadth first with the
+    values in index order.  A prefix of a word divides the word's
+    product, so extending only divisors of n misses none."""
+    words = {1: ()}
     frontier = [1]
     while frontier:
         nxt = []
         for d in frontier:
             for i, v in enumerate(values):
-                if v == 0:
-                    continue
                 nd = d * v
-                if nd in parent or target % nd != 0:
-                    continue
-                parent[nd] = (d, i)
-                if nd == target:
-                    word = []
-                    while parent[nd] is not None:
-                        nd, i = parent[nd]
-                        word.append(i)
-                    return word[::-1]
-                nxt.append(nd)
+                if v and nd not in words and n % nd == 0:
+                    words[nd] = words[d] + (i,)
+                    nxt.append(nd)
         frontier = nxt
-    return None
+    return words
+
+
+def _diag_product_word(values, target) -> Optional[tuple]:
+    """Shortest index word whose value product equals target, or None."""
+    if target == 0:
+        return next(((i,) for i, v in enumerate(values) if v == 0), None)
+    return _diag_words(values, target).get(target)
 
 
 # ---------------------------------------------------------------------------
 # Top-right sets over diagonal pairs
-
-
-def _scale_set(s: SemilinearSet, k: int) -> SemilinearSet:
-    return SemilinearSet(tuple((k * b, k * st) for b, st in s.components))
 
 
 def _segment_sets(gens):
@@ -97,8 +83,7 @@ def _segment_sets(gens):
             if st not in reach:
                 reach.add(st)
                 todo.append(st)
-    zv = build_zvass(unit)
-    sets = {st: _scale_set(value_set(zv, (1, 1), st), st[1]) for st in reach}
+    sets = {st: value_set(unit, *st) for st in reach}
     return sets, unit, unit_idx
 
 
@@ -193,7 +178,7 @@ def _read_word(gens, seg, into, sets, node, b) -> list:
                 pick = _pick_pair(s, sets[src], src[1], seg_sets[label], b)
                 if pick is not None:
                     y, sigma = pick
-                    seg_word = realize_run(unit, (1, 1), label, t * sigma)
+                    seg_word = realize_run(unit, s, t, sigma)
                     word += [unit_idx[i] for i in seg_word]
                     break
         else:
@@ -212,19 +197,15 @@ def _lattice_prm(gens, x2, y2, flagged):
     the second-component values v2 with x2 ->* v2 ->* y2 under
     multiplication by bottom-right entries with a seen-a-top-left-zero bit
     f, kept at 0 unless flagged; labels apply r -> a*r + b*v2 for each
-    generator moving v2 -> c*v2.  Values that cannot reach y2 are left
-    out, since the monotone windows of reach_prm do not drop them for
-    slopes <= -1.  Returns (machine, transition index -> generator index).
+    generator moving v2 -> c*v2.  The values are x2*d for the products d
+    of bottom-right entries dividing y2/x2 whose cofactor is one too:
+    values that cannot reach y2 are left out, since the monotone windows
+    of reach_prm do not drop them for slopes <= -1.  Returns (machine,
+    transition index -> generator index).
     """
-    cs = [g.c for g in gens]
-    fwd, todo = {x2}, [x2]
-    while todo:
-        v = todo.pop()
-        for c in cs:
-            if y2 % (c * v) == 0 and c * v not in fwd:
-                fwd.add(c * v)
-                todo.append(c * v)
-    alphas = {v for v in fwd if _diag_product_word(cs, y2 // v) is not None}
+    ratio = y2 // x2
+    words = _diag_words([g.c for g in gens], ratio)
+    alphas = {x2 * d for d in words if ratio // d in words}
     states = [(f, v2) for f in ((0, 1) if flagged else (0,))
               for v2 in sorted(alphas)]
     trans, origin = [], []
@@ -457,21 +438,6 @@ def solve_membership_one_zero(gens, target: UTMat, budget: PrmBudget,
 # General membership via scalar reachability
 
 
-def _signed_divisors(n):
-    """The divisors of n != 0 and their negatives, smallest magnitude
-    first, from a trial-division factorization: O(sqrt |n|) divisions."""
-    n, divs, p = abs(n), [1], 2
-    while p * p <= n:
-        k = 0
-        while n % p == 0:
-            n, k = n // p, k + 1
-        divs = [d * p ** e for d in divs for e in range(k + 1)]
-        p += 1
-    if n > 1:
-        divs += [d * n for d in divs]
-    return sorted(divs + [-d for d in divs], key=lambda d: (abs(d), -d))
-
-
 def reduce_membership_to_scalar(gens, target: UTMat, budget: Budget,
                                 prm_budget: PrmBudget) -> Verdict:
     """Membership for arbitrary upper-triangular generators, split on
@@ -502,28 +468,27 @@ def reduce_membership_to_scalar(gens, target: UTMat, budget: Budget,
     # absorbs everything around it, or a bottom-right zero meets a
     # top-left zero with an arbitrary middle product
     t12 = target.b
-    a_vals = [g.a for g in gens]
-    c_vals = [g.c for g in gens]
+    a_words = _diag_words([g.a for g in gens], t12)
+    c_words = _diag_words([g.c for g in gens], t12)
+    # the divisor loops run |d| ascending, +d before -d
+    alphas, betas = (sorted(w, key=lambda d: (abs(d), -d))
+                     for w in (a_words, c_words))
     verdicts = []
     for i, A in enumerate(gens):
         if A.a == 0 and A.c == 0 and A.b != 0 and t12 % A.b == 0:
             r = t12 // A.b
-            for m in _signed_divisors(r):
-                wl = _diag_product_word(a_vals, m)
-                wr = _diag_product_word(c_vals, r // m)
-                if wl is not None and wr is not None:
-                    return yes(tuple(wl) + (i,) + tuple(wr))
+            for m in alphas:
+                if r % m == 0 and r // m in c_words:
+                    return yes(a_words[m] + (i,) + c_words[r // m])
     for i, A in enumerate(gens):
         if A.c != 0 or A.a == 0:
             continue
         for j, B in enumerate(gens):
             if B.a != 0 or B.c == 0:
                 continue
-            for alpha in _signed_divisors(t12):
-                for beta in _signed_divisors(t12 // alpha):
-                    wl = _diag_product_word(a_vals, alpha)
-                    wr = _diag_product_word(c_vals, beta)
-                    if wl is None or wr is None:
+            for alpha in alphas:
+                for beta in betas:
+                    if (t12 // alpha) % beta:
                         continue
                     query = ProblemInstance(
                         P.SCALAR_REACHABILITY, tuple(gens),
@@ -531,8 +496,7 @@ def reduce_membership_to_scalar(gens, target: UTMat, budget: Budget,
                         lam=t12 // (alpha * beta))
                     v = oracle_solve(query, budget)
                     if v.is_yes:
-                        return yes(tuple(wl) + (i,) + tuple(v.witness)
-                                   + (j,) + tuple(wr))
+                        return yes(a_words[alpha] + (i,) + v.witness
+                                   + (j,) + c_words[beta])
                     verdicts.append(v)
     return disjunction(verdicts) if verdicts else no("structural")
-

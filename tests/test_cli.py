@@ -53,52 +53,54 @@ def test_round_trip_affine_problems():
                                 x=Fraction(1), y=Fraction(1, 4)))
 
 
+# literal documents: key names, "lambda" for lam, and key order
+_PINNED = [
+    (ProblemInstance(P.AFFINE_MEMBERSHIP_Z, (AffineMap(2, -1),),
+                     target=AffineMap(4, -3)),
+     {"problem": "affine-membership-Z",
+      "generators": [{"a": "2", "b": "-1", "c": "1"}],
+      "target": {"a": "4", "b": "-3", "c": "1"}}),
+    (ProblemInstance(P.AFFINE_REACHABILITY_Z, (AffineMap(1, 3),),
+                     x=1, y=-10),
+     {"problem": "affine-reachability-Z",
+      "generators": [{"a": "1", "b": "3", "c": "1"}],
+      "x": "1", "y": "-10"}),
+    (ProblemInstance(P.AFFINE_REACHABILITY_Q,
+                     (AffineMap.make(1, 0, 2, "Q"),),
+                     x=Fraction(3), y=Fraction(-1, 4)),
+     {"problem": "affine-reachability-Q",
+      "generators": [{"a": "1", "b": "0", "c": "2"}],
+      "x": "3", "y": "-1/4"}),
+    (ProblemInstance(P.MATRIX_MEMBERSHIP,
+                     (UTMat(1, -2, 3), Mat2(0, 1, -1, 0)),
+                     target=UTMat(1, 0, 1)),
+     {"problem": "matrix-membership",
+      "generators": [["1", "-2", "3"], [["0", "1"], ["-1", "0"]]],
+      "target": ["1", "0", "1"]}),
+    (ProblemInstance(P.VECTOR_REACHABILITY, (UTMat(2, 0, 1),),
+                     x=Vec2(1, -1), y=Vec2(4, -1)),
+     {"problem": "vector-reachability",
+      "generators": [["2", "0", "1"]],
+      "x": ["1", "-1"], "y": ["4", "-1"]}),
+    (ProblemInstance(P.SCALAR_REACHABILITY, (UTMat(1, 1, 1),),
+                     x=Vec2(0, 1), y=Vec2(1, 0), lam=-10 ** 20),
+     {"problem": "scalar-reachability",
+      "generators": [["1", "1", "1"]],
+      "x": ["0", "1"], "y": ["1", "0"],
+      "lambda": "-100000000000000000000"}),
+    (ProblemInstance(P.ZERO_REACHABILITY, (),
+                     x=Vec2(4, 1), y=Vec2(1, -4)),
+     {"problem": "zero-reachability", "generators": [],
+      "x": ["4", "1"], "y": ["1", "-4"]}),
+    (ProblemInstance(P.MORTALITY, (Mat2(0, 1, 0, 0),)),
+     {"problem": "mortality",
+      "generators": [[["0", "1"], ["0", "0"]]]}),
+]
+
+
 def test_serialized_documents_are_pinned():
-    # literal documents: key names, "lambda" for lam, and key order
-    cases = [
-        (ProblemInstance(P.AFFINE_MEMBERSHIP_Z, (AffineMap(2, -1),),
-                         target=AffineMap(4, -3)),
-         {"problem": "affine-membership-Z",
-          "generators": [{"a": "2", "b": "-1", "c": "1"}],
-          "target": {"a": "4", "b": "-3", "c": "1"}}),
-        (ProblemInstance(P.AFFINE_REACHABILITY_Z, (AffineMap(1, 3),),
-                         x=1, y=-10),
-         {"problem": "affine-reachability-Z",
-          "generators": [{"a": "1", "b": "3", "c": "1"}],
-          "x": "1", "y": "-10"}),
-        (ProblemInstance(P.AFFINE_REACHABILITY_Q,
-                         (AffineMap.make(1, 0, 2, "Q"),),
-                         x=Fraction(3), y=Fraction(-1, 4)),
-         {"problem": "affine-reachability-Q",
-          "generators": [{"a": "1", "b": "0", "c": "2"}],
-          "x": "3", "y": "-1/4"}),
-        (ProblemInstance(P.MATRIX_MEMBERSHIP,
-                         (UTMat(1, -2, 3), Mat2(0, 1, -1, 0)),
-                         target=UTMat(1, 0, 1)),
-         {"problem": "matrix-membership",
-          "generators": [["1", "-2", "3"], [["0", "1"], ["-1", "0"]]],
-          "target": ["1", "0", "1"]}),
-        (ProblemInstance(P.VECTOR_REACHABILITY, (UTMat(2, 0, 1),),
-                         x=Vec2(1, -1), y=Vec2(4, -1)),
-         {"problem": "vector-reachability",
-          "generators": [["2", "0", "1"]],
-          "x": ["1", "-1"], "y": ["4", "-1"]}),
-        (ProblemInstance(P.SCALAR_REACHABILITY, (UTMat(1, 1, 1),),
-                         x=Vec2(0, 1), y=Vec2(1, 0), lam=-10 ** 20),
-         {"problem": "scalar-reachability",
-          "generators": [["1", "1", "1"]],
-          "x": ["0", "1"], "y": ["1", "0"],
-          "lambda": "-100000000000000000000"}),
-        (ProblemInstance(P.ZERO_REACHABILITY, (),
-                         x=Vec2(4, 1), y=Vec2(1, -4)),
-         {"problem": "zero-reachability", "generators": [],
-          "x": ["4", "1"], "y": ["1", "-4"]}),
-        (ProblemInstance(P.MORTALITY, (Mat2(0, 1, 0, 0),)),
-         {"problem": "mortality",
-          "generators": [[["0", "1"], ["0", "0"]]]}),
-    ]
-    assert sorted(inst.problem for inst, _ in cases) == sorted(P.FIELDS)
-    for inst, doc in cases:
+    assert sorted(inst.problem for inst, _ in _PINNED) == sorted(P.FIELDS)
+    for inst, doc in _PINNED:
         got = serialize_instance(inst)
         assert list(got.items()) == list(doc.items())
         assert parse_instance(doc) == inst
@@ -115,6 +117,43 @@ def test_round_trip_machines():
         Prm(("q",), (("q", "q", (1, 1)), ("q", "q", (0, 2)))),
         ("q", 0), ("q", 5))
     _round_trip(arm)
+
+
+_ARM_DOC = {"problem": ARM_REACHABILITY,
+            "machine": {"states": ["q"],
+                        "transitions": [["q", "q", ["1", "1"]],
+                                        ["q", "q", ["0", "2"]]]},
+            "x": ["q", "0"], "y": ["q", "5"]}
+_BCA_DOC = {"problem": BCA_REACHABILITY,
+            "machine": {"states": ["p", "q"], "bound": "2",
+                        "transitions": [["p", "2", "q"], ["q", "-1", "q"]]},
+            "x": ["p", "0"], "y": ["q", "0"]}
+
+
+def _with(doc, path, value):
+    """A copy of the JSON document doc with the entry at path replaced."""
+    if not path:
+        return value
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    out[path[0]] = _with(doc[path[0]], path[1:], value)
+    return out
+
+
+def _paths(doc, path=()):
+    """(path, value) for every field and list entry below doc."""
+    keys = doc if isinstance(doc, dict) else \
+        range(len(doc)) if isinstance(doc, list) else ()
+    for k in keys:
+        yield path + (k,), doc[k]
+        yield from _paths(doc[k], path + (k,))
+
+
+def _parses(doc) -> bool:
+    try:
+        parse_instance(doc)
+    except SchemaError:
+        return False
+    return True
 
 
 def test_parse_rejects_malformed_documents():
@@ -142,12 +181,42 @@ def test_parse_rejects_malformed_documents():
     zero_den = {"problem": P.AFFINE_REACHABILITY_Q,
                 "generators": [{"a": "1", "b": "0", "c": "2"}],
                 "x": "1/0", "y": "1"}
+    # strings where lists belong: once read as one state, as the
+    # transition ("p", "1", "q"), as the polynomial 1 + 2x, and as no
+    # transitions at all
+    stringly = [_with(_BCA_DOC, ("machine", "states"), "q"),
+                _with(_BCA_DOC, ("machine", "transitions", 0), "p1q"),
+                _with(_BCA_DOC, ("machine", "transitions"), ""),
+                _with(_ARM_DOC, ("machine", "transitions", 0, 2), "12")]
     runner = CliRunner()
-    for doc in (no_bound, bad_poly, zero_den):
+    for doc in [no_bound, bad_poly, zero_den] + stringly:
         with pytest.raises(SchemaError):
             parse_instance(doc)
         res = runner.invoke(main, ["solve", "-"], input=json.dumps(doc))
         assert res.exit_code == 3, res.output
+
+
+def test_parse_fuzz_wrong_json_types():
+    docs = [doc for _, doc in _PINNED] + [_BCA_DOC, _ARM_DOC]
+    assert all(_parses(doc) for doc in docs)
+    others = ("12", "", 5, None, [], {})
+    # every field and list entry, replaced by each value of another type;
+    # a string where a list belongs never parses
+    for doc in docs:
+        for path, old in _paths(doc):
+            for new in others:
+                if type(new) is not type(old):
+                    ok = _parses(_with(doc, path, new))
+                    assert not (ok and isinstance(old, list)
+                                and isinstance(new, str)), (doc, path, new)
+    # seeded runs of several replacements: parse or SchemaError, no crash
+    rng = random.Random(14)
+    for _ in range(600):
+        doc = rng.choice(docs)
+        for _ in range(rng.randint(2, 4)):
+            path, _ = rng.choice(list(_paths(doc)))
+            doc = _with(doc, path, rng.choice(others))
+        _parses(doc)
 
 
 def test_dispatch_routing_order():

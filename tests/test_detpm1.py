@@ -1,6 +1,6 @@
-"""Sign-pair automaton, run-value sets, and the exact solver for
-determinant +-1 generator sets, which the router also sends every
-all-determinant--1 generator set."""
+"""Top-right entry sets per diagonal sign pair, words realizing them, and
+the exact solver for determinant +-1 generator sets, which the router
+also sends every all-determinant--1 generator set."""
 
 import itertools
 import random
@@ -10,27 +10,20 @@ import pytest
 from semireach import problems as P
 from semireach.cli import dispatch
 from semireach.core import UTMat, Vec2
-from semireach.detpm1 import (SIGN_STATES, build_zvass, realize_run,
-                              solve_detpm1, value_set)
+from semireach.detpm1 import (SIGN_STATES, realize_run, solve_detpm1,
+                              value_set)
 from semireach.machines import PrmBudget
 from semireach.oracle import oracle_solve, replay
 from semireach.problems import Budget, ProblemInstance, yes
 
 
-def test_build_zvass_transitions():
-    v = build_zvass([UTMat(-1, 3, -1)])
-    by_src = {src: (w, dst) for src, w, dst in v.transitions}
-    assert by_src[(1, 1)] == (-3, (-1, -1))
-    assert by_src[(1, -1)] == (3, (-1, 1))
-    assert by_src[(-1, 1)] == (3, (1, -1))
-    assert by_src[(-1, -1)] == (-3, (1, 1))
-    # a unipotent generator self-loops with weight s*t*b
-    u = build_zvass([UTMat(1, 5, 1)])
-    for src, w, dst in u.transitions:
-        assert dst == src and w == src[0] * src[1] * 5
-    assert build_zvass([]).transitions == ()
-    with pytest.raises(ValueError):
-        build_zvass([UTMat(2, 0, 1)])
+def test_value_set_and_realize_run_reject_non_unit_diagonal():
+    for gens, s, t in (([UTMat(2, 0, 1)], 1, 1), ([UTMat(1, 3, -1),
+                       UTMat(-1, 0, 3)], 1, -1), ([], 0, 1), ([], 1, 2)):
+        with pytest.raises(ValueError):
+            value_set(gens, s, t)
+        with pytest.raises(ValueError):
+            realize_run(gens, s, t, 0)
 
 
 def agrees(s, predicate, lo, hi):
@@ -39,31 +32,32 @@ def agrees(s, predicate, lo, hi):
 
 
 def test_value_set_examples():
-    v = build_zvass([UTMat(1, 2, 1)])
-    s = value_set(v, (1, 1), (1, 1))
-    assert agrees(s, lambda t: t >= 0 and t % 2 == 0, -10, 30)
-    assert value_set(v, (1, 1), (-1, -1)).is_empty()
+    g = [UTMat(1, 2, 1)]
+    s = value_set(g, 1, 1)
+    assert agrees(s, lambda b: b >= 0 and b % 2 == 0, -10, 30)
+    assert value_set(g, -1, -1).is_empty()
 
-    neg = build_zvass([UTMat(-1, 0, -1)])
-    assert agrees(value_set(neg, (1, 1), (-1, -1)), lambda t: t == 0,
-                  -10, 10)
-    assert value_set(neg, (1, 1), (1, -1)).is_empty()
+    neg = [UTMat(-1, 0, -1)]
+    assert agrees(value_set(neg, -1, -1), lambda b: b == 0, -10, 10)
+    assert value_set(neg, 1, -1).is_empty()
 
-    empty = build_zvass([])
-    assert agrees(value_set(empty, (1, 1), (1, 1)), lambda t: t == 0,
-                  -10, 10)
-    with pytest.raises(ValueError):
-        value_set(empty, (0, 1), (1, 1))
+    assert agrees(value_set([], 1, 1), lambda b: b == 0, -10, 10)
+    # (1 3; 0 -1) squares to the identity, so its only product with
+    # diagonal (1, -1) is itself: top-right 3, where the run value is -3
+    flip = [UTMat(1, 3, -1)]
+    assert agrees(value_set(flip, 1, -1), lambda b: b == 3, -10, 10)
+    assert realize_run(flip, 1, -1, 3) == [0]
+    assert realize_run(flip, 1, -1, -3) is None
 
 
 def _products_by_state(gens, maxlen):
-    """{(s, t): set of top-right values} over words up to maxlen."""
+    """{(s, t): set of top-right entries} over words up to maxlen."""
     out = {}
     level = {UTMat.identity()}
     seen = set()
     for _ in range(maxlen + 1):
         for m in level:
-            out.setdefault((m.a, m.c), set()).add(m.c * m.b)
+            out.setdefault((m.a, m.c), set()).add(m.b)
         seen |= level
         level = {m * g for m in level for g in gens} - seen
     return out
@@ -75,8 +69,7 @@ def test_value_set_matches_word_enumeration():
         k = rng.randint(0, 3)
         gens = [UTMat(rng.choice((1, -1)), rng.randint(-3, 3),
                       rng.choice((1, -1))) for _ in range(k)]
-        v = build_zvass(gens)
-        got = {st: value_set(v, (1, 1), st) for st in SIGN_STATES}
+        got = {st: value_set(gens, *st) for st in SIGN_STATES}
         want = _products_by_state(gens, 6)
         for st in SIGN_STATES:
             for val in want.get(st, ()):
@@ -85,13 +78,13 @@ def test_value_set_matches_word_enumeration():
         for st in SIGN_STATES:
             for b, step in got[st].components[:4]:
                 for val in (b, b + 2 * step):
-                    word = realize_run(gens, (1, 1), st, val)
+                    word = realize_run(gens, *st, val)
                     assert word is not None, (gens, st, val)
                     prod = UTMat.identity()
                     for i in word:
                         prod = prod * gens[i]
                     assert (prod.a, prod.c) == st
-                    assert prod.c * prod.b == val
+                    assert prod.b == val
 
 
 def test_solve_detpm1_membership_examples():

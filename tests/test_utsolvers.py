@@ -17,7 +17,7 @@ from semireach.core import UTMat, Vec2
 from semireach.machines import PrmBudget
 from semireach.oracle import oracle_solve, replay
 from semireach.problems import Budget, ProblemInstance
-from semireach.utsolvers import (_lattice_prm, _signed_divisors,
+from semireach.utsolvers import (_diag_words, _lattice_prm,
                                  reduce_membership_to_scalar,
                                  solve_membership_nonzero_diag,
                                  solve_membership_one_zero,
@@ -224,11 +224,32 @@ def test_reduce_membership_to_scalar_cross_check():
             assert got.is_yes, inst
 
 
+def _divisor_lengths(values, n, max_len):
+    """{d: length of the shortest word over values with product d} for
+    the divisors d of n, from all words of up to max_len factors."""
+    lengths, level = {}, {1}
+    for k in range(max_len + 1):
+        for d in level:
+            if d and n % d == 0:
+                lengths.setdefault(d, k)
+        level = {d * v for d in level for v in values}
+    return lengths
+
+
 def test_double_zero_target_divisors_scale():
-    for n in range(1, 300):
-        assert _signed_divisors(n) == [s * d for d in range(1, n + 1)
-                                       if n % d == 0 for s in (1, -1)]
-    # divisors come from a factorization: about 10^4 trial divisions
+    # a shortest word has at most one factor -1 and log2 |n| of |v| >= 2
+    rng = random.Random(5)
+    for _ in range(300):
+        values = [rng.choice((-3, -2, -1, 0, 1, 2, 3, 4, 6))
+                  for _ in range(rng.randint(0, 3))]
+        n = rng.choice((1, -1)) * rng.randint(1, 120)
+        words = _diag_words(values, n)
+        want = _divisor_lengths(values, n, abs(n).bit_length() + 1)
+        assert {d: len(w) for d, w in words.items()} == want, (values, n)
+        assert all(math.prod(values[i] for i in w) == d
+                   for d, w in words.items())
+    # one divisor map per diagonal, built from the generators' entries
+    # without factoring 10^8
     gens = (UTMat(3, 1, 0), UTMat(0, 1, 5))
     t = UTMat(0, 10 ** 8, 0)
     start = time.perf_counter()
