@@ -4,6 +4,7 @@ to affine register machines."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -129,98 +130,83 @@ def _monotone_bounds(m: Prm, dst):
     A value v can reach (qt, vt) through (q, ax+b, q') with a >= 1 only
     if (down(q')-b)/a <= v <= (up(q')-b)/a.  A constant edge from q to q'
     with value b leaves q unbounded once b lies in the interval of q',
-    and is dead while it does not.  The least fixpoint of this
-    backward system is approached by Kleene iteration; since slopes > 1
-    make the iteration converge only in the limit, the candidate is
-    padded with slack and certified as a post-fixpoint (any verified
-    post-fixpoint is a sound over-approximation).  States failing the
-    certificate are widened to an unbounded interval, which merely
-    disables pruning there.
+    and is dead while it does not.  The least fixpoint of this backward
+    system is computed by a FIFO worklist: popping q' relaxes only the
+    edges into q', and a source whose interval moved is pushed again.
+    A cycle of slope 1 with a nonzero offset makes a bound creep
+    forever, so each side is widened to unbounded once it has moved
+    60 * max(n, 4) times; a slope-1 self-loop x -> x + b
+    with b != 0 widens the side it creeps (up when b < 0, down when
+    b > 0) as soon as that side is finite, since that side diverges.
+    Widening merely disables pruning there.
     """
     if not all(len(p) == 1 or len(p) == 2 and p[1] >= 0
                for _, _, p in m.transitions):
         return None
+    n = len(m.states)
     index = {q: i for i, q in enumerate(m.states)}
-    trans = [(index[s], index[d], p[0], p[1] if len(p) == 2 else 0)
-             for s, d, p in m.transitions]
     qt, vt = index[dst[0]], dst[1]
-    # states that can reach qt at all; everything else is dead outright
-    preds = [[] for _ in m.states]
-    for s, d, _, _ in trans:
-        preds[d].append(s)
-    co = [False] * len(m.states)
-    co[qt] = True
-    stack = [qt]
-    while stack:
-        for s in preds[stack.pop()]:
-            if not co[s]:
-                co[s] = True
-                stack.append(s)
-    edges = [e for e in trans if co[e[0]] and co[e[1]]]
-    up = [NEG_INF] * len(m.states)
-    down = [POS_INF] * len(m.states)
-    up[qt] = down[qt] = vt
-    # integer Kleene iteration with floor/ceil rounding; since feasible
-    # register values are integers, the rounded fixpoint is still a sound
-    # envelope, and rounding forces exact convergence.  Slow or divergent
-    # relaxations get widened to an unbounded side, which only costs
-    # pruning precision.  A change is recorded as 2*state + (1 for up).
+    # moves[2*s + 1] counts the moves of up[s] and moves[2*s] those of
+    # down[s]; a creeping self-loop starts its side one move short of
+    # the limit
+    limit = 60 * max(n, 4)
+    moves = [0] * (2 * n)
+    into = [[] for _ in range(n)]
+    for s, d, p in m.transitions:
+        s, d = index[s], index[d]
+        b, a = p[0], p[1] if len(p) == 2 else 0
+        into[d].append((s, b, a))
+        if s == d and a == 1 and b:
+            moves[2 * s + (b < 0)] = limit - 1
+    up = [NEG_INF] * n
+    down = [POS_INF] * n
+    up[qt] = POS_INF if moves[2 * qt + 1] else vt
+    down[qt] = NEG_INF if moves[2 * qt] else vt
+    # integer bounds with floor/ceil rounding: feasible register values
+    # are integers, so the rounded fixpoint is still a sound envelope,
+    # and rounding forces exact convergence.  Only states whose interval
+    # is nonempty get queued, so every popped d has u and w finite or
+    # unbounded, never empty; states that cannot reach qt stay empty.
     huge = 1 << 80
-
-    def relax_once():
-        changed = []
-        for s, d, b, a in edges:
+    work = deque([qt])
+    queued = [False] * n
+    queued[qt] = True
+    while work:
+        d = work.popleft()
+        queued[d] = False
+        for s, b, a in into[d]:
+            u, w, us, ws = up[d], down[d], up[s], down[s]
             if not a:
-                u, w = up[d], down[d]
-                if u is not NEG_INF and w is not POS_INF \
-                        and (u is POS_INF or b <= u) \
-                        and (w is NEG_INF or b >= w):
-                    if up[s] is not POS_INF:
-                        up[s] = POS_INF
-                        changed.append(2 * s + 1)
-                    if down[s] is not NEG_INF:
-                        down[s] = NEG_INF
-                        changed.append(2 * s)
+                if (u is POS_INF or b <= u) and (w is NEG_INF or b >= w) \
+                        and (us is not POS_INF or ws is not NEG_INF):
+                    up[s], down[s] = POS_INF, NEG_INF
+                    if not queued[s]:
+                        queued[s] = True
+                        work.append(s)
                 continue
-            u = up[d]
-            if u is not NEG_INF:
-                us = up[s]
-                if us is not POS_INF:
-                    if u is POS_INF:
-                        up[s] = POS_INF
-                        changed.append(2 * s + 1)
-                    else:
-                        cand = (u - b) // a
-                        if us is NEG_INF or cand > us:
-                            up[s] = POS_INF if abs(cand) > huge else cand
-                            changed.append(2 * s + 1)
-            w = down[d]
-            if w is not POS_INF:
-                ws = down[s]
-                if ws is not NEG_INF:
-                    if w is NEG_INF:
-                        down[s] = NEG_INF
-                        changed.append(2 * s)
-                    else:
-                        cand = -((b - w) // a)
-                        if ws is POS_INF or cand < ws:
-                            down[s] = NEG_INF if abs(cand) > huge else cand
-                            changed.append(2 * s)
-        return changed
-
-    rounds = 60 * max(len(m.states), 4)
-    while True:
-        changed = None
-        for _ in range(rounds):
-            changed = relax_once()
-            if not changed:
-                return up, down
-        # widen whatever is still moving and keep going to a fixpoint
-        for c in changed:
-            if c & 1:
-                up[c >> 1] = POS_INF
-            else:
-                down[c >> 1] = NEG_INF
+            moved = False
+            if us is not POS_INF:
+                cand = POS_INF if u is POS_INF else (u - b) // a
+                if cand is POS_INF or us is NEG_INF or cand > us:
+                    moves[2 * s + 1] += 1
+                    if cand is not POS_INF and (
+                            abs(cand) > huge or moves[2 * s + 1] >= limit):
+                        cand = POS_INF
+                    up[s] = cand
+                    moved = True
+            if ws is not NEG_INF:
+                cand = NEG_INF if w is NEG_INF else -((b - w) // a)
+                if cand is NEG_INF or ws is POS_INF or cand < ws:
+                    moves[2 * s] += 1
+                    if cand is not NEG_INF and (
+                            abs(cand) > huge or moves[2 * s] >= limit):
+                        cand = NEG_INF
+                    down[s] = cand
+                    moved = True
+            if moved and not queued[s]:
+                queued[s] = True
+                work.append(s)
+    return up, down
 
 
 _INF = float("inf")

@@ -3,6 +3,7 @@ between their reachability problems."""
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -264,6 +265,133 @@ def test_monotone_bounds_widening_is_pinned():
     assert reach_prm(m, ("p", 5), ("t", 6), PrmBudget(100)).is_no
     assert reach_prm(m, ("q", 2), ("t", 6), PrmBudget(100)).certificate \
         == "structural"
+
+
+def _round_robin_bounds(m, dst):
+    """_monotone_bounds as a round-robin Kleene loop: every round relaxes
+    every co-reachable edge, and whatever still moves after 60 * max(n, 4)
+    rounds is widened to unbounded before the loop goes on."""
+    if not all(len(p) == 1 or len(p) == 2 and p[1] >= 0
+               for _, _, p in m.transitions):
+        return None
+    index = {q: i for i, q in enumerate(m.states)}
+    trans = [(index[s], index[d], p[0], p[1] if len(p) == 2 else 0)
+             for s, d, p in m.transitions]
+    qt, vt = index[dst[0]], dst[1]
+    preds = [[] for _ in m.states]
+    for s, d, _, _ in trans:
+        preds[d].append(s)
+    co = [False] * len(m.states)
+    co[qt] = True
+    stack = [qt]
+    while stack:
+        for s in preds[stack.pop()]:
+            if not co[s]:
+                co[s] = True
+                stack.append(s)
+    edges = [e for e in trans if co[e[0]] and co[e[1]]]
+    up = [NEG_INF] * len(m.states)
+    down = [POS_INF] * len(m.states)
+    up[qt] = down[qt] = vt
+    huge = 1 << 80
+
+    def relax_once():
+        changed = []  # 2 * state + (1 for up)
+        for s, d, b, a in edges:
+            if not a:
+                u, w = up[d], down[d]
+                if u is not NEG_INF and w is not POS_INF \
+                        and (u is POS_INF or b <= u) \
+                        and (w is NEG_INF or b >= w):
+                    if up[s] is not POS_INF:
+                        up[s] = POS_INF
+                        changed.append(2 * s + 1)
+                    if down[s] is not NEG_INF:
+                        down[s] = NEG_INF
+                        changed.append(2 * s)
+                continue
+            u = up[d]
+            if u is not NEG_INF:
+                us = up[s]
+                if us is not POS_INF:
+                    if u is POS_INF:
+                        up[s] = POS_INF
+                        changed.append(2 * s + 1)
+                    else:
+                        cand = (u - b) // a
+                        if us is NEG_INF or cand > us:
+                            up[s] = POS_INF if abs(cand) > huge else cand
+                            changed.append(2 * s + 1)
+            w = down[d]
+            if w is not POS_INF:
+                ws = down[s]
+                if ws is not NEG_INF:
+                    if w is NEG_INF:
+                        down[s] = NEG_INF
+                        changed.append(2 * s)
+                    else:
+                        cand = -((b - w) // a)
+                        if ws is POS_INF or cand < ws:
+                            down[s] = NEG_INF if abs(cand) > huge else cand
+                            changed.append(2 * s)
+        return changed
+
+    rounds = 60 * max(len(m.states), 4)
+    while True:
+        changed = None
+        for _ in range(rounds):
+            changed = relax_once()
+            if not changed:
+                return up, down
+        for c in changed:
+            if c & 1:
+                up[c >> 1] = POS_INF
+            else:
+                down[c >> 1] = NEG_INF
+
+
+def test_monotone_bounds_match_round_robin():
+    rng = random.Random(15)
+    for kind in ("monotone", "bounded") * 1000:
+        m = _random_prm(rng, kind)
+        dst = (rng.choice(m.states), rng.randint(-10, 40))
+        assert _monotone_bounds(m, dst) == _round_robin_bounds(m, dst), \
+            (m, dst)
+    for bound in (8, 16, 32, 64):
+        for _ in range(6):
+            states = tuple(f"q{i}" for i in range(rng.randint(2, 4)))
+            trans = tuple((rng.choice(states), rng.randint(-bound, bound),
+                           rng.choice(states))
+                          for _ in range(rng.randint(2, 6)))
+            red = reduce_bca_to_arm(
+                Bca(states, bound, trans),
+                (rng.choice(states), rng.randint(0, bound)),
+                (rng.choice(states), rng.randint(0, bound)))
+            assert _monotone_bounds(red.machine, red.target) == \
+                _round_robin_bounds(red.machine, red.target), red
+    m = Prm(("p", "q", "r", "t"),
+            (("p", "p", (-1, 1)), ("p", "t", (0, 1)), ("q", "t", (1, 2)),
+             ("r", "r", (1, 1)), ("r", "t", (0, 1))))
+    assert _monotone_bounds(m, ("t", 6)) == _round_robin_bounds(m, ("t", 6))
+
+
+def test_monotone_bounds_creeping_self_loop_is_widened_at_once():
+    # c0 -> c1 -> ... -> c199 by x + 1, and c190 -> c190 by x - 1: up(c190)
+    # creeps by one per relaxation, so it and every state before it are
+    # unbounded above, while every lower bound is exact.  Widening after
+    # 60 * 200 moves instead takes about a second here, since each move
+    # runs up the chain.
+    n = 200
+    states = tuple(f"c{i}" for i in range(n))
+    trans = [(f"c{i}", f"c{i + 1}", (1, 1)) for i in range(n - 1)]
+    trans.append(("c190", "c190", (-1, 1)))
+    m = Prm(states, tuple(trans))
+    start = time.perf_counter()
+    got = _monotone_bounds(m, ("c199", 0))
+    assert time.perf_counter() - start < 0.25
+    assert got == ([POS_INF if i <= 190 else i - 199 for i in range(n)],
+                   [i - 199 for i in range(n)])
+    assert got == _round_robin_bounds(m, ("c199", 0))
 
 
 def test_reduction_params():
