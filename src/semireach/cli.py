@@ -52,6 +52,13 @@ class MachineInstance:
     source: tuple
     target: tuple
 
+    def __post_init__(self):
+        m = self.machine
+        for q, v in (self.source, self.target):
+            if q not in m.states or isinstance(m, Bca) \
+                    and not 0 <= v <= m.bound:
+                raise ValueError(f"configuration {(q, v)} not in the machine")
+
 
 # ---------------------------------------------------------------------------
 # JSON encoding
@@ -77,8 +84,8 @@ def _enc_rat(q) -> str:
 def _dec_rat(s) -> Fraction:
     if not isinstance(s, str):
         raise SchemaError(f"bad rational encoding {s!r}")
-    num, _, den = s.partition("/")
-    if den:
+    num, slash, den = s.partition("/")
+    if slash:
         d = _dec_int(den)
         if d == 0:
             raise SchemaError(f"bad rational encoding {s!r}")

@@ -10,8 +10,7 @@ from typing import Optional
 
 from .problems import Verdict, no, unknown
 
-NEG_INF = object()
-POS_INF = object()
+_INF = float("inf")
 
 
 def poly_eval(coeffs, x: int) -> int:
@@ -122,106 +121,76 @@ def _trace(parent, conf) -> Verdict:
 
 
 def _monotone_bounds(m: Prm, dst):
-    """Per-state feasibility interval for reaching dst, valid when every
-    update is affine with slope >= 1 or constant.  Returns (up, down), two
-    lists indexed like m.states, or None when some update is not of that
-    form.
+    """Per-state windows for reaching dst: lists lo and hi, indexed like
+    m.states, of ints or +-inf, such that (q, v) can reach dst only if
+    lo[q] <= v <= hi[q]; lo > hi marks a dead state.  Every window is
+    (-inf, inf) unless each update is affine with slope >= 1 or constant.
 
-    A value v can reach (qt, vt) through (q, ax+b, q') with a >= 1 only
-    if (down(q')-b)/a <= v <= (up(q')-b)/a.  A constant edge from q to q'
-    with value b leaves q unbounded once b lies in the interval of q',
-    and is dead while it does not.  The least fixpoint of this backward
-    system is computed by a FIFO worklist: popping q' relaxes only the
-    edges into q', and a source whose interval moved is pushed again.
-    A cycle of slope 1 with a nonzero offset makes a bound creep
-    forever, so each side is widened to unbounded once it has moved
-    60 * max(n, 4) times; a slope-1 self-loop x -> x + b
-    with b != 0 widens the side it creeps (up when b < 0, down when
-    b > 0) as soon as that side is finite, since that side diverges.
+    Through (q, ax+b, q') with a >= 1, v must lie in
+    [ceil((lo(q')-b)/a), floor((hi(q')-b)/a)]: register values are
+    integers, so the rounding stays sound and forces exact convergence.
+    A constant edge with value b offers (-inf, inf) while b lies in the
+    window of q'.  A FIFO worklist from dst computes the least fixpoint
+    of the joins, relaxing only the edges into a popped state.  A slope-1
+    cycle with a nonzero offset makes a side creep forever, so a side
+    that has moved 60 * max(n, 4) times is widened to +-inf, and a
+    slope-1 self-loop x -> x + b with b != 0 widens the side it creeps
+    (hi when b < 0, lo when b > 0) as soon as that side is finite.
     Widening merely disables pruning there.
     """
+    n = len(m.states)
     if not all(len(p) == 1 or len(p) == 2 and p[1] >= 0
                for _, _, p in m.transitions):
-        return None
-    n = len(m.states)
+        return [-_INF] * n, [_INF] * n
     index = {q: i for i, q in enumerate(m.states)}
     qt, vt = index[dst[0]], dst[1]
-    # moves[2*s + 1] counts the moves of up[s] and moves[2*s] those of
-    # down[s]; a creeping self-loop starts its side one move short of
-    # the limit
+    # per-side move counts; a creeping self-loop starts its side one
+    # move short of the limit
     limit = 60 * max(n, 4)
-    moves = [0] * (2 * n)
+    lo_moves, hi_moves = [0] * n, [0] * n
     into = [[] for _ in range(n)]
     for s, d, p in m.transitions:
         s, d = index[s], index[d]
         b, a = p[0], p[1] if len(p) == 2 else 0
         into[d].append((s, b, a))
         if s == d and a == 1 and b:
-            moves[2 * s + (b < 0)] = limit - 1
-    up = [NEG_INF] * n
-    down = [POS_INF] * n
-    up[qt] = POS_INF if moves[2 * qt + 1] else vt
-    down[qt] = NEG_INF if moves[2 * qt] else vt
-    # integer bounds with floor/ceil rounding: feasible register values
-    # are integers, so the rounded fixpoint is still a sound envelope,
-    # and rounding forces exact convergence.  Only states whose interval
-    # is nonempty get queued, so every popped d has u and w finite or
-    # unbounded, never empty; states that cannot reach qt stay empty.
+            (hi_moves if b < 0 else lo_moves)[s] = limit - 1
+    lo, hi = [_INF] * n, [-_INF] * n
+    lo[qt] = -_INF if lo_moves[qt] else vt
+    hi[qt] = _INF if hi_moves[qt] else vt
+    # a state is queued only once it has been offered a window, so no
+    # popped d has lo[d] == inf or hi[d] == -inf; states that cannot
+    # reach qt keep that empty window
     huge = 1 << 80
-    work = deque([qt])
-    queued = [False] * n
-    queued[qt] = True
+    work, queued = deque([qt]), {qt}
     while work:
         d = work.popleft()
-        queued[d] = False
+        queued.discard(d)
         for s, b, a in into[d]:
-            u, w, us, ws = up[d], down[d], up[s], down[s]
-            if not a:
-                if (u is POS_INF or b <= u) and (w is NEG_INF or b >= w) \
-                        and (us is not POS_INF or ws is not NEG_INF):
-                    up[s], down[s] = POS_INF, NEG_INF
-                    if not queued[s]:
-                        queued[s] = True
-                        work.append(s)
+            # d's window is read per edge, since a self-loop may just have
+            # moved it; (clo, chi) is the window it offers to s
+            clo, chi = lo[d], hi[d]
+            if a:
+                # inf // a is nan, so an infinite side passes through as is
+                clo = clo if clo == -_INF else -((b - clo) // a)
+                chi = chi if chi == _INF else (chi - b) // a
+            elif clo <= b <= chi:
+                clo, chi = -_INF, _INF
+            else:
                 continue
-            moved = False
-            if us is not POS_INF:
-                cand = POS_INF if u is POS_INF else (u - b) // a
-                if cand is POS_INF or us is NEG_INF or cand > us:
-                    moves[2 * s + 1] += 1
-                    if cand is not POS_INF and (
-                            abs(cand) > huge or moves[2 * s + 1] >= limit):
-                        cand = POS_INF
-                    up[s] = cand
-                    moved = True
-            if ws is not NEG_INF:
-                cand = NEG_INF if w is NEG_INF else -((b - w) // a)
-                if cand is NEG_INF or ws is POS_INF or cand < ws:
-                    moves[2 * s] += 1
-                    if cand is not NEG_INF and (
-                            abs(cand) > huge or moves[2 * s] >= limit):
-                        cand = NEG_INF
-                    down[s] = cand
-                    moved = True
-            if moved and not queued[s]:
-                queued[s] = True
+            if clo >= lo[s] and chi <= hi[s]:
+                continue
+            if clo < lo[s]:
+                lo_moves[s] += 1
+                lo[s] = -_INF if abs(clo) > huge or lo_moves[s] >= limit \
+                    else clo
+            if chi > hi[s]:
+                hi_moves[s] += 1
+                hi[s] = _INF if abs(chi) > huge or hi_moves[s] >= limit \
+                    else chi
+            if s not in queued:
+                queued.add(s)
                 work.append(s)
-    return up, down
-
-
-_INF = float("inf")
-
-
-def _windows(bounds, n):
-    """(lo, hi) lists with lo[q] <= v <= hi[q] exactly when (q, v) may
-    still reach the target under the monotone bounds; an empty window
-    (lo > hi) marks a dead state."""
-    if bounds is None:
-        return [-_INF] * n, [_INF] * n
-    up, down = bounds
-    hi = [_INF if u is POS_INF else -_INF if u is NEG_INF else u for u in up]
-    lo = [-_INF if w is NEG_INF else _INF if w is POS_INF else w
-          for w in down]
     return lo, hi
 
 
@@ -231,9 +200,9 @@ def reach_prm(m: Prm, src, dst, budget: PrmBudget) -> Verdict:
     No is issued only when the explored set is provably closed: the
     frontier died out and nothing was cut by the magnitude cap.  For
     machines whose updates are all affine with slope >= 1 or constant,
-    configurations that provably cannot reach the target (by the monotone
-    interval bounds) are discarded without weakening the closure
-    certificate.
+    configurations outside the [lo, hi] windows of _monotone_bounds
+    provably cannot reach the target and are discarded without weakening
+    the closure certificate.
 
     The machine is compiled once per call: states become indices, a
     configuration (state, value) is the int value*n + state, and each
@@ -252,7 +221,7 @@ def reach_prm(m: Prm, src, dst, budget: PrmBudget) -> Verdict:
             raise ValueError(f"{name} state {q!r} unknown")
     if src == dst:
         return Verdict("yes", witness=(), path=(src,))
-    lo, hi = _windows(_monotone_bounds(m, dst), n)
+    lo, hi = _monotone_bounds(m, dst)
     q0 = index[src[0]]
     if not lo[q0] <= src[1] <= hi[q0]:
         return no("structural")

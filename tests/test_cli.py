@@ -156,7 +156,7 @@ def _parses(doc) -> bool:
     return True
 
 
-def test_parse_rejects_malformed_documents():
+def test_parse_rejects_malformed_documents(tmp_path):
     with pytest.raises(SchemaError):
         parse_instance({"problem": "no-such-problem", "generators": []})
     with pytest.raises(SchemaError):
@@ -181,6 +181,15 @@ def test_parse_rejects_malformed_documents():
     zero_den = {"problem": P.AFFINE_REACHABILITY_Q,
                 "generators": [{"a": "1", "b": "0", "c": "2"}],
                 "x": "1/0", "y": "1"}
+    no_den = _with(zero_den, ("x",), "1/")
+    # source = target, but not a configuration of the machine: an
+    # unknown state, a counter outside [0, bound], or both
+    bad_configs = [
+        {"problem": BCA_REACHABILITY,
+         "machine": {"states": ["q"], "bound": "3", "transitions": []},
+         "x": ["zz", "99"], "y": ["zz", "99"]},
+        _with(_with(_BCA_DOC, ("x",), ["p", "99"]), ("y",), ["p", "99"]),
+        _with(_with(_ARM_DOC, ("x",), ["nope", "5"]), ("y",), ["nope", "5"])]
     # strings where lists belong: once read as one state, as the
     # transition ("p", "1", "q"), as the polynomial 1 + 2x, and as no
     # transitions at all
@@ -189,10 +198,18 @@ def test_parse_rejects_malformed_documents():
                 _with(_BCA_DOC, ("machine", "transitions"), ""),
                 _with(_ARM_DOC, ("machine", "transitions", 0, 2), "12")]
     runner = CliRunner()
-    for doc in [no_bound, bad_poly, zero_den] + stringly:
+    for doc in [no_bound, bad_poly, zero_den, no_den] + stringly \
+            + bad_configs:
         with pytest.raises(SchemaError):
             parse_instance(doc)
         res = runner.invoke(main, ["solve", "-"], input=json.dumps(doc))
+        assert res.exit_code == 3, res.output
+    # verify must not accept a witness for such a document either
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps({"verdict": "yes", "witness": []}))
+    for doc in bad_configs:
+        res = runner.invoke(main, ["verify", "-", str(result)],
+                            input=json.dumps(doc))
         assert res.exit_code == 3, res.output
 
 

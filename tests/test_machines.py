@@ -7,12 +7,13 @@ import time
 
 import pytest
 
-from semireach.machines import (NEG_INF, POS_INF, Bca, Prm, PrmBudget,
-                                ReductionParams, _monotone_bounds,
-                                digit_guess_value, poly_eval, reach_bca,
-                                reach_prm, reduce_bca_to_arm,
-                                sufficient_budget)
+from semireach.machines import (Bca, Prm, PrmBudget, ReductionParams,
+                                _monotone_bounds, digit_guess_value,
+                                poly_eval, reach_bca, reach_prm,
+                                reduce_bca_to_arm, sufficient_budget)
 from semireach.problems import Verdict, no, unknown
+
+INF = float("inf")
 
 
 def test_poly_eval():
@@ -90,16 +91,11 @@ def _reference_reach_prm(m, src, dst, budget):
     bounds, already seen, magnitude cap, step budget)."""
     if src == dst:
         return Verdict("yes", witness=(), path=(src,))
-    bounds = _monotone_bounds(m, dst)
+    lo, hi = _monotone_bounds(m, dst)
     index = {q: i for i, q in enumerate(m.states)}
 
     def dead(q, v):
-        if bounds is None:
-            return False
-        up, down = bounds[0][index[q]], bounds[1][index[q]]
-        return (up is NEG_INF or down is POS_INF or
-                (up is not POS_INF and v > up) or
-                (down is not NEG_INF and v < down))
+        return not lo[index[q]] <= v <= hi[index[q]]
 
     if dead(*src):
         return no("structural")
@@ -236,29 +232,29 @@ def test_monotone_bounds_are_sound():
     for _ in range(300):
         m = _random_prm(rng, "bounded")
         dst = (rng.choice(m.states), rng.randint(-20, 20))
-        up, down = _monotone_bounds(m, dst)
+        lo, hi = _monotone_bounds(m, dst)
         for q, v in _reaching_configs(m, dst, 400):
             i = m.states.index(q)
-            assert up[i] is not NEG_INF and down[i] is not POS_INF
-            assert up[i] is POS_INF or v <= up[i], (m, dst, q, v)
-            assert down[i] is NEG_INF or v >= down[i], (m, dst, q, v)
-    # a constant edge that misses the target's interval is dead
+            assert lo[i] <= v <= hi[i], (m, dst, q, v)
+    # a constant edge that misses the target's window is dead
     assert _monotone_bounds(Prm(("q",), (("q", "q", (1, 0)),)),
                             ("q", 0)) == ([0], [0])
+    # a negative slope leaves every window unbounded
     assert _monotone_bounds(Prm(("q",), (("q", "q", (1, -1)),)),
-                            ("q", 0)) is None
+                            ("q", 0)) == ([-INF], [INF])
 
 
 def test_monotone_bounds_widening_is_pinned():
-    # p -> p by x - 1 raises up(p) by one each round and r -> r by x + 1
-    # lowers down(r), so after 60 * 4 rounds those two sides are widened
-    # to unbounded; the other sides settle.  q -> t by 2x + 1 never hits
-    # 6: rounding down (6 - 1) / 2 and up gives the empty window [3, 2]
+    # p -> p by x - 1 would raise hi(p) by one per relaxation and r -> r
+    # by x + 1 would lower lo(r), so those creeping self-loops widen the
+    # two sides to unbounded at once; the other sides settle.  q -> t by
+    # 2x + 1 never hits 6: rounding (6 - 1) / 2 up and down gives the
+    # empty window [3, 2]
     m = Prm(("p", "q", "r", "t"),
             (("p", "p", (-1, 1)), ("p", "t", (0, 1)), ("q", "t", (1, 2)),
              ("r", "r", (1, 1)), ("r", "t", (0, 1))))
-    assert _monotone_bounds(m, ("t", 6)) == ([POS_INF, 2, 6, 6],
-                                             [6, 3, NEG_INF, 6])
+    assert _monotone_bounds(m, ("t", 6)) == ([6, 3, -INF, 6],
+                                             [INF, 2, 6, 6])
     assert reach_prm(m, ("r", -50), ("t", 6), PrmBudget(100)).is_yes
     assert reach_prm(m, ("r", 7), ("t", 6), PrmBudget(100)).is_no
     assert reach_prm(m, ("p", 50), ("t", 6), PrmBudget(100)).is_yes
@@ -267,13 +263,48 @@ def test_monotone_bounds_widening_is_pinned():
         == "structural"
 
 
+def test_monotone_bounds_move_limit_widening_is_pinned():
+    # the two-edge cycle p -> r by x + 1, r -> p by x lowers lo(p) and
+    # lo(r) by one per trip round it, so both reach the move limit of
+    # 60 * 4 and are widened to -inf; hi settles at 6 through p -> t
+    m = Prm(("p", "r", "t"),
+            (("p", "r", (1, 1)), ("r", "p", (0, 1)), ("p", "t", (0, 1))))
+    assert _monotone_bounds(m, ("t", 6)) == ([-INF, -INF, 6], [6, 6, 6])
+    assert reach_prm(m, ("p", -40), ("t", 6), PrmBudget(1000)).is_yes
+    assert reach_prm(m, ("p", 7), ("t", 6), PrmBudget(1000)).certificate \
+        == "structural"
+    assert reach_prm(m, ("r", 5), ("t", 6), PrmBudget(1000)).is_yes
+    # with x - 2 in place of x + 1 the cycle raises hi instead
+    m = Prm(("p", "r", "t"),
+            (("p", "r", (-2, 1)), ("r", "p", (0, 1)), ("p", "t", (0, 1))))
+    assert _monotone_bounds(m, ("t", 6)) == ([6, 6, 6], [INF, INF, 6])
+    assert _monotone_bounds(m, ("t", 6)) == _round_robin_bounds(m, ("t", 6))
+
+
+NEG_INF = object()
+POS_INF = object()
+
+
+def _as_windows(bounds, n):
+    """(up, down) with NEG_INF/POS_INF sentinels, or None, as the (lo, hi)
+    windows _monotone_bounds returns."""
+    if bounds is None:
+        return [-INF] * n, [INF] * n
+    up, down = bounds
+    return ([-INF if w is NEG_INF else INF if w is POS_INF else w
+             for w in down],
+            [INF if u is POS_INF else -INF if u is NEG_INF else u
+             for u in up])
+
+
 def _round_robin_bounds(m, dst):
-    """_monotone_bounds as a round-robin Kleene loop: every round relaxes
-    every co-reachable edge, and whatever still moves after 60 * max(n, 4)
-    rounds is widened to unbounded before the loop goes on."""
+    """_monotone_bounds as a round-robin Kleene loop over (up, down)
+    bounds with sentinels: every round relaxes every co-reachable edge,
+    and whatever still moves after 60 * max(n, 4) rounds is widened to
+    unbounded before the loop goes on."""
     if not all(len(p) == 1 or len(p) == 2 and p[1] >= 0
                for _, _, p in m.transitions):
-        return None
+        return _as_windows(None, len(m.states))
     index = {q: i for i, q in enumerate(m.states)}
     trans = [(index[s], index[d], p[0], p[1] if len(p) == 2 else 0)
              for s, d, p in m.transitions]
@@ -342,7 +373,7 @@ def _round_robin_bounds(m, dst):
         for _ in range(rounds):
             changed = relax_once()
             if not changed:
-                return up, down
+                return _as_windows((up, down), len(m.states))
         for c in changed:
             if c & 1:
                 up[c >> 1] = POS_INF
@@ -389,8 +420,8 @@ def test_monotone_bounds_creeping_self_loop_is_widened_at_once():
     start = time.perf_counter()
     got = _monotone_bounds(m, ("c199", 0))
     assert time.perf_counter() - start < 0.25
-    assert got == ([POS_INF if i <= 190 else i - 199 for i in range(n)],
-                   [i - 199 for i in range(n)])
+    assert got == ([i - 199 for i in range(n)],
+                   [INF if i <= 190 else i - 199 for i in range(n)])
     assert got == _round_robin_bounds(m, ("c199", 0))
 
 
