@@ -270,8 +270,12 @@ def _utvec_ok(inst) -> bool:
 
 
 def _mortality_ok(inst) -> bool:
-    return inst.problem == P.MORTALITY \
-        and all(g.det() in (0, 1) for g in inst.generators)
+    """Mortality, or the zero-matrix membership that _rewrite makes of
+    upper-triangular mortality, with every determinant in {0, 1}."""
+    zero = inst.problem == P.MORTALITY or (
+        inst.problem == P.MATRIX_MEMBERSHIP and _all_ut(inst)
+        and inst.target == UTMat(0, 0, 0))
+    return zero and all(g.det() in (0, 1) for g in inst.generators)
 
 
 def _solve_machines(mi: MachineInstance, budget: Budget,

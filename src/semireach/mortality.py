@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .core import Mat2, Vec2, primitive, xgcd
-from .oracle import _as_mat2, _search
+from .oracle import _as_mat2, _entries, _search
 from .problems import Budget, Verdict, no, unknown, yes
 
 
@@ -45,37 +45,41 @@ def stabilizer_basis(x: Vec2, y: Vec2) -> StabilizerBasis:
     return StabilizerBasis(B=b, C=c)
 
 
-def _first_column(m: Mat2) -> Vec2:
+def _first_column(m: Mat2) -> tuple[int, int]:
     col = Vec2(m.m11, m.m21)
     if col.is_zero():
         col = Vec2(m.m12, m.m22)
-    return primitive(col)[0]
+    u = primitive(col)[0]
+    return (u.v1, u.v2)
 
 
-def _first_row(m: Mat2) -> Vec2:
+def _kill_targets(m: Mat2) -> frozenset:
+    """The two signed primitive vectors that m's first nonzero row
+    sends to 0."""
     row = Vec2(m.m11, m.m12)
     if row.is_zero():
         row = Vec2(m.m21, m.m22)
-    return primitive(row)[0]
+    u = primitive(row)[0]
+    return frozenset({(-u.v2, u.v1), (u.v2, -u.v1)})
 
 
-def _orbit_search(sl, start: Vec2, targets, budget: Budget) -> Verdict:
-    """Canonical search for a product of the determinant-1 generators
-    taking start into the target set; the witness is in product order
-    and indexed into the original generator list."""
-    mats = [g for _, g in sl]
+def _orbit_search(mats, start: tuple, targets: frozenset,
+                  budget: Budget) -> Verdict:
+    """Canonical search for a product of the determinant-1 generators,
+    given as (m11, m12, m21, m22) tuples, taking the (v1, v2) tuple
+    start into the target set; the witness is in product order and
+    indexes mats."""
 
-    def step(s: Vec2, j: int) -> Vec2:
-        t = mats[j].apply(s)
+    def step(v, j):
+        a, b, c, d = mats[j]
+        t = (a * v[0] + b * v[1], c * v[0] + d * v[1])
         # determinant-1 factors preserve the gcd, so the orbit of a
         # primitive vector stays primitive
-        assert gcd(t.v1, t.v2) == 1
+        assert gcd(*t) == 1
         return t
 
-    v = _search(start, mats, step, lambda s: s in targets, budget, "prepend")
-    if v.is_yes:
-        return yes(tuple(sl[j][0] for j in v.witness))
-    return v
+    return _search(start, mats, step, targets.__contains__, budget,
+                   "prepend")
 
 
 def solve_mortality(gens, budget: Budget) -> Verdict:
@@ -87,8 +91,9 @@ def solve_mortality(gens, budget: Budget) -> Verdict:
     (y1, y2), and the middle must map x onto a multiple of (-y2, y1).
     Since the middle preserves primitivity, only the two signed copies of
     that vector can occur, and a budgeted orbit search decides each
-    bracket pair.  Upper-triangular generators are read as general
-    matrices.
+    bracket pair.  A pair whose column and targets were already searched
+    is skipped: that search did not answer Yes, and a repeat would not
+    either.  Upper-triangular generators are read as general matrices.
     """
     gens = [_as_mat2(g) for g in gens]
     for g in gens:
@@ -100,16 +105,20 @@ def solve_mortality(gens, budget: Budget) -> Verdict:
     singular = [(i, g) for i, g in enumerate(gens) if g.det() == 0]
     if not singular:
         return no("structural")
-    sl = [(i, g) for i, g in enumerate(gens) if g.det() == 1]
+    sl = [i for i, g in enumerate(gens) if g.det() == 1]
+    mats = [_entries(gens[i], False) for i in sl]
+    columns = [(i, _first_column(g)) for i, g in singular]
+    searched = set()
     hit_budget = False
     for i1, m1 in singular:
-        row = _first_row(m1)
-        target = Vec2(-row.v2, row.v1)
-        targets = (target, Vec2(-target.v1, -target.v2))
-        for i_n, mn in singular:
-            v = _orbit_search(sl, _first_column(mn), targets, budget)
+        targets = _kill_targets(m1)
+        for i_n, col in columns:
+            if (col, targets) in searched:
+                continue
+            searched.add((col, targets))
+            v = _orbit_search(mats, col, targets, budget)
             if v.is_yes:
-                return yes((i1,) + v.witness + (i_n,))
+                return yes((i1,) + tuple(sl[j] for j in v.witness) + (i_n,))
             if not v.definitive:
                 hit_budget = True
     return unknown() if hit_budget else no("saturation")

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import problems as P
-from .core import Mat2, UTMat, Vec2
+from .core import Mat2, UTMat
 from .problems import Budget, ProblemInstance, Verdict, no, unknown, yes
 
 
@@ -22,8 +22,6 @@ def _magnitude(state) -> int:
         return max(map(abs, state))
     if isinstance(state, Fraction):
         return max(abs(state.numerator), state.denominator)
-    if isinstance(state, Vec2):
-        return max(abs(state.v1), abs(state.v2))
     return abs(state)
 
 

@@ -294,6 +294,34 @@ def test_upper_triangular_mortality_structural_no():
     assert not oracle_solve(inst, budget).definitive
 
 
+def test_named_mortality_route_takes_upper_triangular_mortality(tmp_path):
+    # dispatch rewrites it to membership of UTMat(0, 0, 0); auto still
+    # routes that to utmember, and the named route must accept it too
+    doc = {"problem": P.MORTALITY,
+           "generators": [["1", "1", "0"], ["0", "0", "1"]]}
+    inst = parse_instance(doc)
+    budget, prm = Budget(8, 10 ** 6), PrmBudget(1024, 10 ** 6)
+    assert dispatch(inst, "auto", budget, prm)[1] == "utmember"
+    verdict, route = dispatch(inst, "mortality", budget, prm)
+    assert route == "mortality" and verdict.is_yes
+    assert replay_instance(inst, verdict.witness) is None
+    # a determinant outside {0, 1} still fails the precondition
+    bad = ProblemInstance(P.MORTALITY, (UTMat(2, 1, 1), UTMat(0, 0, 1)))
+    with pytest.raises(SchemaError):
+        dispatch(bad, "mortality", budget, prm)
+
+    runner = CliRunner()
+    inst_file, res_file = tmp_path / "inst.json", tmp_path / "res.json"
+    inst_file.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["solve", str(inst_file),
+                               "--solver", "mortality"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["solver"] == "mortality"
+    res_file.write_text(res.output)
+    ver = runner.invoke(main, ["verify", str(inst_file), str(res_file)])
+    assert ver.exit_code == 0 and "witness ok" in ver.output
+
+
 def test_integer_affine_reachability_routes_to_detpm1():
     budget, prm = Budget(8, 10 ** 6), PrmBudget(1024, 10 ** 6)
     inst = ProblemInstance(P.AFFINE_REACHABILITY_Z,

@@ -6,13 +6,15 @@ from math import gcd
 
 import pytest
 
+from semireach import mortality
 from semireach import problems as P
 from semireach.bridge import gen_hard
-from semireach.core import Mat2, Vec2
+from semireach.cli import random_instance
+from semireach.core import Mat2, Vec2, primitive
 from semireach.mortality import (StabilizerBasis, solve_mortality,
                                  stabilizer_basis)
 from semireach.oracle import oracle_solve, replay
-from semireach.problems import Budget, ProblemInstance
+from semireach.problems import Budget, ProblemInstance, no, unknown, yes
 
 B = Budget(8, 10 ** 6)
 
@@ -99,6 +101,121 @@ def test_mortality_cross_check():
             assert got.is_yes == want.is_yes, gens
         if want.is_yes:
             assert got.is_yes, gens
+
+
+def _reference_orbit_search(mats, start: Vec2, targets, budget):
+    """The orbit search on Vec2 states through Mat2.apply, carrying each
+    state's word: level by level, generators in index order, each level's
+    states in the order they were found."""
+    if start in targets:
+        return yes(())
+    visited = {start}
+    frontier = [((), start)]
+    pruned = False
+    for _ in range(budget.max_len):
+        nxt = []
+        for j, m in enumerate(mats):
+            for w, s in frontier:
+                t = m.apply(s)
+                if t in visited:
+                    continue
+                if budget.max_entry is not None and \
+                        max(abs(t.v1), abs(t.v2)) > budget.max_entry:
+                    pruned = True
+                    continue
+                visited.add(t)
+                if t in targets:
+                    return yes((j,) + w)
+                nxt.append(((j,) + w, t))
+        if not nxt:
+            return no("saturation") if not pruned else unknown()
+        frontier = nxt
+    return unknown()
+
+
+def _reference_mortality(gens, budget):
+    """solve_mortality with Vec2 orbit searches and every bracket pair
+    searched, repeats included."""
+    for i, g in enumerate(gens):
+        if g.is_zero():
+            return yes((i,))
+    singular = [(i, g) for i, g in enumerate(gens) if g.det() == 0]
+    if not singular:
+        return no("structural")
+    sl = [(i, g) for i, g in enumerate(gens) if g.det() == 1]
+    hit_budget = False
+    for i1, m1 in singular:
+        row = Vec2(m1.m11, m1.m12)
+        if row.is_zero():
+            row = Vec2(m1.m21, m1.m22)
+        row = primitive(row)[0]
+        targets = (Vec2(-row.v2, row.v1), Vec2(row.v2, -row.v1))
+        for i_n, mn in singular:
+            col = Vec2(mn.m11, mn.m21)
+            if col.is_zero():
+                col = Vec2(mn.m12, mn.m22)
+            v = _reference_orbit_search([g for _, g in sl],
+                                        primitive(col)[0], targets, budget)
+            if v.is_yes:
+                return yes((i1,) + tuple(sl[j][0] for j in v.witness)
+                           + (i_n,))
+            if not v.definitive:
+                hit_budget = True
+    return unknown() if hit_budget else no("saturation")
+
+
+def _with_repeated_singulars(rng, gens):
+    """gens plus a copy or a multiple of each singular generator: same
+    column and kill row, so the extra bracket pairs repeat searches."""
+    extra = []
+    for g in gens:
+        if g.det() == 0 and not g.is_zero():
+            k = rng.choice((1, 2, -1))
+            extra.append(Mat2(k * g.m11, k * g.m12, k * g.m21, k * g.m22))
+    out = list(gens) + extra
+    rng.shuffle(out)
+    return tuple(out)
+
+
+def test_orbit_search_matches_vec2_reference(monkeypatch):
+    searches = []
+    search = mortality._orbit_search
+
+    def counted(mats, start, targets, budget):
+        searches.append((start, targets))
+        return search(mats, start, targets, budget)
+
+    monkeypatch.setattr(mortality, "_orbit_search", counted)
+    rng = random.Random(44)
+    cases = [gen_hard([3, 5], t, "mortality").generators
+             for t in range(0, 30, 2)]
+    cases += [gen_hard([rng.randint(2, 9) for _ in range(rng.randint(1, 3))],
+                       rng.randint(0, 40), "mortality").generators
+              for _ in range(20)]
+    cases += [_random_mortality_gens(rng) for _ in range(150)]
+    cases += [random_instance(rng, "mortality").generators
+              for _ in range(150)]
+    cases += [_with_repeated_singulars(rng, gens) for gens in cases[-300:]]
+    kinds, skipped = set(), 0
+    for budget in (Budget(8, 10 ** 6), Budget(8, 12)):
+        for gens in cases:
+            searches.clear()
+            got = solve_mortality(gens, budget)
+            want = _reference_mortality(list(gens), budget)
+            assert (got.kind, got.certificate, got.witness) == \
+                (want.kind, want.certificate, want.witness), (gens, budget)
+            if got.is_yes:
+                assert replay(ProblemInstance(P.MORTALITY, gens),
+                              got.witness)
+            # each (column, targets) pair is searched at most once
+            assert len(searches) == len(set(searches))
+            n = sum(g.det() == 0 for g in gens)
+            if not got.is_yes and not any(g.is_zero() for g in gens):
+                skipped += n * n - len(searches)
+            kinds.add((budget.max_entry, got.kind))
+    assert kinds == {(e, k) for e in (12, 10 ** 6)
+                     for k in ("yes", "no", "unknown")}
+    assert skipped > 0
 
 
 def _inv_sl(m: Mat2) -> Mat2:
