@@ -18,11 +18,18 @@ from .problems import Budget, ProblemInstance, Verdict, no, unknown, yes
 
 
 def _magnitude(state) -> int:
-    if isinstance(state, tuple):
-        return max(map(abs, state))
+    """Height of an int or Fraction state (tuple states use the largest
+    absolute entry, inlined in _search)."""
     if isinstance(state, Fraction):
         return max(abs(state.numerator), state.denominator)
     return abs(state)
+
+
+def _pairs(frontier, js, mode: str):
+    """The (state, generator) pairs of one level in witness order."""
+    if mode == "append":
+        return product(frontier, js)
+    return ((s, j) for j, s in product(js, frontier))
 
 
 def _search(start, gens, step, hit, budget: Budget, mode: str) -> Verdict:
@@ -34,25 +41,27 @@ def _search(start, gens, step, hit, budget: Budget, mode: str) -> Verdict:
     generated in lexicographic witness order, so the first witness found
     for any state is the canonical one.  parent[t] is the state t was first
     reached from; the witness is rebuilt from these links on a Yes.
+
+    Only states of depth below max_len are stored.  The candidates at
+    depth max_len are never expanded, so they are only tested: for a hit,
+    and for novelty, which decides between No by saturation and Unknown.
     """
     if hit(start):
         return yes(())
     cap = budget.max_entry
+    tuples = isinstance(start, tuple)
     js = range(len(gens))
     parent = {start: None}
     frontier = [start]
     pruned = False
-    for _ in range(budget.max_len):
+    for _ in range(budget.max_len - 1):
         nxt = []
-        if mode == "append":
-            pairs = product(frontier, js)
-        else:
-            pairs = ((s, j) for j, s in product(js, frontier))
-        for s, j in pairs:
+        for s, j in _pairs(frontier, js, mode):
             t = step(s, j)
             if t in parent:
                 continue
-            if cap is not None and _magnitude(t) > cap:
+            if cap is not None and \
+                    (max(map(abs, t)) if tuples else _magnitude(t)) > cap:
                 pruned = True
                 continue
             parent[t] = s
@@ -60,9 +69,22 @@ def _search(start, gens, step, hit, budget: Budget, mode: str) -> Verdict:
                 return yes(_word(parent, t, step, js, mode))
             nxt.append(t)
         if not nxt:
-            return no("saturation") if not pruned else unknown()
+            return unknown() if pruned else no("saturation")
         frontier = nxt
-    return unknown()
+    # depth max_len: every stored state failed hit, so a hit is new
+    fresh = False
+    for s, j in _pairs(frontier, js, mode):
+        t = step(s, j)
+        if hit(t):
+            if cap is not None and \
+                    (max(map(abs, t)) if tuples else _magnitude(t)) > cap:
+                pruned = True
+                continue
+            parent[t] = s
+            return yes(_word(parent, t, step, js, mode))
+        if not fresh and t not in parent:
+            fresh = True
+    return unknown() if pruned or fresh else no("saturation")
 
 
 def _word(parent, t, step, js, mode: str) -> tuple:
@@ -181,8 +203,9 @@ def oracle_solve(inst: ProblemInstance, budget: Budget) -> Verdict:
     """Solve any problem kind by exhaustive search up to the budget.
 
     Yes comes with a canonical witness.  No is only issued when the
-    deduplicated reachable set saturated strictly below the budget with
-    no magnitude pruning; everything else is Unknown.
+    deduplicated reachable set saturated within the budget (depth
+    max_len adds nothing new) with no magnitude pruning; everything else
+    is Unknown.
     """
     start, gens, step, hit, mode = _action(inst)
     return _search(start, gens, step, hit, budget, mode)

@@ -626,3 +626,28 @@ def test_flip_keeps_verdicts():
             assert len({v.is_yes for v in verdicts if v.definitive}) <= 1, \
                 inst
     assert pairs > 600
+
+
+def test_solve_exit_codes_match_documents(tmp_path):
+    # exit 0 only with a "yes" that verify accepts, 1 only with "no" and
+    # 2 only with "unknown"; short --max-len makes all three common
+    runner = CliRunner()
+    f, r = tmp_path / "i.json", tmp_path / "r.json"
+    rng = random.Random(11)
+    families = ("detpm1", "detminus1", "utvec", "utmember", "mortality",
+                "random")
+    codes = set()
+    for i in range(300):
+        inst = random_instance(rng, families[i % len(families)])
+        f.write_text(json.dumps(serialize_instance(inst)))
+        res = runner.invoke(main, ["solve", str(f),
+                                   "--max-len", str(1 + i % 4)])
+        assert res.exit_code in (0, 1, 2), (inst, res.output)
+        verdict = json.loads(res.output)["verdict"]
+        assert verdict == ("yes", "no", "unknown")[res.exit_code], inst
+        if res.exit_code == 0:
+            r.write_text(res.output)
+            assert runner.invoke(main, ["verify", str(f), str(r)]) \
+                .exit_code == 0, (inst, res.output)
+        codes.add(res.exit_code)
+    assert codes == {0, 1, 2}

@@ -121,6 +121,22 @@ def test_cap_boundary_uses_rational_height():
     assert v.is_yes and v.witness == (0, 0)
 
 
+def test_last_level_boundaries():
+    # candidates at depth max_len are tested, never stored: saturation
+    # there is still No, a hit there keeps its canonical witness, and a
+    # hit over the cap there is Unknown
+    inv = ProblemInstance(P.MATRIX_MEMBERSHIP, (UTMat(-1, 0, -1),),
+                          target=UTMat(1, 1, 1))
+    assert oracle_solve(inv, Budget(1)).kind == "unknown"
+    assert oracle_solve(inv, Budget(2)) == no("saturation")
+    dbl = ProblemInstance(P.MATRIX_MEMBERSHIP,
+                          (UTMat(2, 0, 1), UTMat(2, 0, 1)),
+                          target=UTMat(4, 0, 1))
+    v = oracle_solve(dbl, Budget(2, 4))
+    assert v.is_yes and v.witness == (0, 0)
+    assert oracle_solve(dbl, Budget(2, 3)).kind == "unknown"
+
+
 # ---------------------------------------------------------------------------
 # Reference: the object-state, witness-per-node search the oracle replaced
 
@@ -271,3 +287,21 @@ def test_search_matches_object_reference():
     assert {p for p, _ in seen} == P.PROBLEM_TAGS
     for kind in ("yes", "no", "unknown"):
         assert sum(n for (_, k), n in seen.items() if k == kind) > 50
+
+
+def test_search_matches_reference_at_every_depth():
+    # the last level is handled apart from the others, so compare at
+    # every max_len: at 1 the first level is the last
+    rng = random.Random(6)
+    instances = [_reference_instance(rng, i) for i in range(600)]
+    for inst in instances:
+        start, gens, step, hit, mode = _reference_action(inst)
+        for cap in (None, 12, 10 ** 6):
+            for max_len in range(1, 7):
+                budget = Budget(max_len, cap)
+                want = _reference_search(start, gens, step, hit, budget,
+                                         mode)
+                got = oracle_solve(inst, budget)
+                assert (got.kind, got.certificate, got.witness) == \
+                    (want.kind, want.certificate, want.witness), \
+                    (inst, budget)
