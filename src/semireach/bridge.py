@@ -1,5 +1,4 @@
-"""Encodings of affine-function problems as matrix problems, the Turing
-reduction from rational affine reachability to vector reachability, and
+"""Encodings of affine-function problems as matrix problems, and
 multi-subset-sum hardness-instance generators."""
 
 from __future__ import annotations
@@ -9,7 +8,7 @@ from typing import Sequence
 
 from . import problems as P
 from .core import Mat2, UTMat, Vec2
-from .problems import ProblemInstance, Verdict, no, unknown
+from .problems import ProblemInstance
 
 
 def encode_affine(inst: ProblemInstance) -> ProblemInstance:
@@ -37,41 +36,6 @@ def encode_affine(inst: ProblemInstance) -> ProblemInstance:
             x=Vec2(xf.numerator, xf.denominator),
             y=Vec2(yf.denominator, -yf.numerator))
     raise ValueError(f"not an affine-tagged instance: {p}")
-
-
-def reduce_affQ_to_vecreach(inst: ProblemInstance) -> list[ProblemInstance]:
-    """Rational affine reachability as a disjunction of vector-reachability
-    instances targeting the zero vector.
-
-    Applying a constant function resets the orbit, so every run splits as
-    "maybe one last constant, then non-constant functions only": one
-    sub-instance starts at x, and one starts at each constant's value,
-    all with the constants removed and an extra annihilator generator.
-    """
-    if inst.problem != P.AFFINE_REACHABILITY_Q:
-        raise ValueError("expected a rational affine reachability instance")
-    yf = Fraction(inst.y)
-    annihilator = UTMat(yf.denominator, -yf.numerator, 0)
-    nonconst = [f for f in inst.generators if f.a != 0]
-    consts = [Fraction(f.b, f.c) for f in inst.generators if f.a == 0]
-    gens = tuple(f.matrix() for f in nonconst) + (annihilator,)
-    starts = [Fraction(inst.x)] + consts
-    return [
-        ProblemInstance(P.VECTOR_REACHABILITY, gens,
-                        x=Vec2(s.numerator, s.denominator), y=Vec2(0, 0))
-        for s in starts
-    ]
-
-
-def disjunction(verdicts: Sequence[Verdict]) -> Verdict:
-    """Combine Turing-reduction sub-verdicts: Yes dominates, then Unknown,
-    then No."""
-    for v in verdicts:
-        if v.is_yes:
-            return v
-    if any(not v.definitive for v in verdicts):
-        return unknown()
-    return no("saturation")
 
 
 GEN_HARD_VARIANTS = ("membership", "vector", "zero-reach", "det-minus-one",

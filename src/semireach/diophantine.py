@@ -390,9 +390,6 @@ class SemilinearSet:
     def member(self, t: int) -> bool:
         return any(_ray_member(b, s, t) for b, s in self.components)
 
-    def union(self, other: "SemilinearSet") -> "SemilinearSet":
-        return SemilinearSet(self.components + other.components)
-
 
 def ray_sums(comps1, comps2) -> list:
     """Rays whose union is the sumset of two unions of rays, unpruned."""

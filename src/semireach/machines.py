@@ -8,7 +8,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .problems import Verdict, no, unknown
+from .problems import Verdict, no, unknown, yes
 
 _INF = float("inf")
 
@@ -82,14 +82,14 @@ class PrmBudget:
 def reach_bca(m: Bca, src, dst) -> Verdict:
     """Exact reachability between counter configurations; the state space
     Q x [0, bound] is finite so plain BFS is complete.  Yes carries the
-    transition-index witness and the configuration path."""
+    transition-index witness."""
     for name, (q, c) in (("source", src), ("target", dst)):
         if q not in m.states:
             raise ValueError(f"{name} state {q!r} unknown")
         if not 0 <= c <= m.bound:
             raise ValueError(f"{name} counter {c} outside [0, {m.bound}]")
     if src == dst:
-        return Verdict("yes", witness=(), path=(src,))
+        return yes(())
     parent = {src: None}
     frontier = [src]
     while frontier:
@@ -111,13 +111,11 @@ def reach_bca(m: Bca, src, dst) -> Verdict:
 
 
 def _trace(parent, conf) -> Verdict:
-    path, wit = [conf], []
+    wit = []
     while parent[conf] is not None:
         conf, i = parent[conf]
-        path.append(conf)
         wit.append(i)
-    return Verdict("yes", witness=tuple(reversed(wit)),
-                   path=tuple(reversed(path)))
+    return yes(reversed(wit))
 
 
 def _monotone_bounds(m: Prm, dst):
@@ -220,7 +218,7 @@ def reach_prm(m: Prm, src, dst, budget: PrmBudget) -> Verdict:
         if q not in index:
             raise ValueError(f"{name} state {q!r} unknown")
     if src == dst:
-        return Verdict("yes", witness=(), path=(src,))
+        return yes(())
     lo, hi = _monotone_bounds(m, dst)
     q0 = index[src[0]]
     if not lo[q0] <= src[1] <= hi[q0]:
@@ -264,24 +262,18 @@ def reach_prm(m: Prm, src, dst, budget: PrmBudget) -> Verdict:
                     return unknown()
                 parent[nkey] = key * ntrans + i
                 if nkey == goal:
-                    return _trace_keys(m.states, parent, nkey, n, ntrans)
+                    return _trace_keys(parent, nkey, ntrans)
                 nxt.append(nkey)
         frontier = nxt
     return no("saturation") if not pruned else unknown()
 
 
-def _trace_keys(states, parent, key, n, ntrans) -> Verdict:
-    path, wit = [], []
-    while True:
-        v, q = divmod(key, n)
-        path.append((states[q], v))
-        link = parent[key]
-        if link is None:
-            break
-        key, i = divmod(link, ntrans)
+def _trace_keys(parent, key, ntrans) -> Verdict:
+    wit = []
+    while parent[key] is not None:
+        key, i = divmod(parent[key], ntrans)
         wit.append(i)
-    return Verdict("yes", witness=tuple(reversed(wit)),
-                   path=tuple(reversed(path)))
+    return yes(reversed(wit))
 
 
 @dataclass(frozen=True)
@@ -329,8 +321,6 @@ def reduce_bca_to_arm(m: Bca, src, dst) -> ReducedArm:
     params = ReductionParams.for_bound(m.bound)
     B, K, j = params.B, params.K, params.j
     states = [str(q) for q in m.states]
-    if len(set(states)) != len(states):
-        raise ValueError("state names collide after stringification")
     padded = []  # (src, p, dst) over the padded state set
     for i, (s, p, d) in enumerate(m.transitions):
         q1, q2 = f"@pad:{i}:a", f"@pad:{i}:b"
@@ -346,6 +336,8 @@ def reduce_bca_to_arm(m: Bca, src, dst) -> ReducedArm:
             transitions.append((guess[k], guess[k + 1], (-(2 ** k) * K, 1)))
             transitions.append((guess[k], guess[k + 1], (0, 1)))
         transitions.append((guess[j], d, (p, 1)))
+    if len(set(states)) != len(states):
+        raise ValueError("state names clash once stringified or with gadgets")
     prm = Prm(tuple(states), tuple(transitions))
     return ReducedArm(prm, (str(src[0]), src[1]), (str(dst[0]), dst[1]),
                       params)

@@ -13,7 +13,7 @@ from math import gcd
 
 from .core import Mat2, Vec2, primitive, xgcd
 from .oracle import _as_mat2, _entries, _search
-from .problems import Budget, Verdict, no, unknown, yes
+from .problems import Budget, Verdict, disjunction, no, yes
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,6 @@ class StabilizerBasis:
 
     B: Mat2
     C: Mat2
-    kgen: Mat2 = Mat2(1, 1, 0, 1)
 
     def at(self, k: int) -> Mat2:
         return self.B * Mat2(1, k, 0, 1) * self.C
@@ -109,7 +108,7 @@ def solve_mortality(gens, budget: Budget) -> Verdict:
     mats = [_entries(gens[i], False) for i in sl]
     columns = [(i, _first_column(g)) for i, g in singular]
     searched = set()
-    hit_budget = False
+    verdicts = []
     for i1, m1 in singular:
         targets = _kill_targets(m1)
         for i_n, col in columns:
@@ -119,6 +118,5 @@ def solve_mortality(gens, budget: Budget) -> Verdict:
             v = _orbit_search(mats, col, targets, budget)
             if v.is_yes:
                 return yes((i1,) + tuple(sl[j] for j in v.witness) + (i_n,))
-            if not v.definitive:
-                hit_budget = True
-    return unknown() if hit_budget else no("saturation")
+            verdicts.append(v)
+    return disjunction(verdicts)

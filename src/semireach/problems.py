@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -99,7 +99,6 @@ class Verdict:
     kind: str  # "yes" | "no" | "unknown"
     witness: Optional[tuple] = None
     certificate: Optional[str] = None  # "saturation" | "structural"
-    path: Optional[tuple] = None  # configuration path, machine problems only
 
     def __post_init__(self):
         if self.kind not in ("yes", "no", "unknown"):
@@ -122,13 +121,24 @@ class Verdict:
         return self.kind != "unknown"
 
 
-def yes(witness, **kw) -> Verdict:
-    return Verdict("yes", witness=tuple(witness), **kw)
+def yes(witness) -> Verdict:
+    return Verdict("yes", witness=tuple(witness))
 
 
-def no(certificate: str = "saturation", **kw) -> Verdict:
-    return Verdict("no", certificate=certificate, **kw)
+def no(certificate: str = "saturation") -> Verdict:
+    return Verdict("no", certificate=certificate)
 
 
-def unknown(**kw) -> Verdict:
-    return Verdict("unknown", **kw)
+def unknown() -> Verdict:
+    return Verdict("unknown")
+
+
+def disjunction(verdicts: Sequence[Verdict]) -> Verdict:
+    """Combine the verdicts of alternative sub-questions: Yes dominates,
+    then Unknown, then No."""
+    for v in verdicts:
+        if v.is_yes:
+            return v
+    if any(not v.definitive for v in verdicts):
+        return unknown()
+    return no("saturation")

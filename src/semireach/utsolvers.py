@@ -1,7 +1,7 @@
 """Upper-triangular solvers beyond the determinant-+-1 fragment: vector
 reachability when every bottom-right entry is nonzero, membership for
-nonzero diagonals and for one allowed diagonal zero, and the case
-analysis reducing general membership to scalar reachability.
+nonzero diagonals, and the target-shape split of general membership (one
+diagonal zero by flagged vector reachability, two by scalar reachability).
 """
 
 from __future__ import annotations
@@ -9,13 +9,12 @@ from __future__ import annotations
 from typing import Optional
 
 from . import problems as P
-from .bridge import disjunction
 from .core import UTMat, Vec2
 from .detpm1 import _word_product, realize_run, value_set
 from .diophantine import SemilinearSet, nonneg_combination, ray_sums
 from .machines import Prm, PrmBudget, reach_prm
 from .oracle import oracle_solve
-from .problems import Budget, ProblemInstance, Verdict, no, yes
+from .problems import Budget, ProblemInstance, Verdict, disjunction, no, yes
 
 
 def _require(gens, field, label):
@@ -397,45 +396,13 @@ def _pick_pair(k1, set1, k2, set2, rest):
 
 
 # ---------------------------------------------------------------------------
-# Membership with one diagonal zero allowed
+# General membership via scalar reachability
 
 
 def _flip_ut(m: UTMat) -> UTMat:
     """Conjugate-transpose image swapping the diagonal; products map to
     reversed products of images."""
     return UTMat(m.c, m.b, m.a)
-
-
-def solve_membership_one_zero(gens, target: UTMat, budget: PrmBudget,
-                              nonzero: str = "c") -> Verdict:
-    """Membership when every generator is nonzero on one fixed diagonal
-    position ("c" = bottom-right, "a" = top-left).
-
-    A target that is nonzero on the other position too routes to the
-    nonzero-diagonal solver; otherwise the problem is the constrained
-    reachability question from (0,1) to (T12, T22) where some top-left
-    zero generator must fire, tracked by a state flag.
-    """
-    if nonzero == "a":
-        v = solve_membership_one_zero([_flip_ut(g) for g in gens],
-                                      _flip_ut(target), budget, "c")
-        if v.is_yes:
-            return yes(tuple(reversed(v.witness)))
-        return v
-    _require(gens, "c", "bottom-right")
-    if not isinstance(target, UTMat) or target.c == 0:
-        return no("structural")
-    if target.a != 0:
-        # a nonzero top-left product cannot use top-left-zero factors
-        keep = [i for i, g in enumerate(gens) if g.a != 0]
-        return _remap(solve_membership_nonzero_diag(
-            [gens[i] for i in keep], target), keep)
-    return _vecreach_nonzero(gens, Vec2(0, 1),
-                             Vec2(target.b, target.c), budget, flagged=True)
-
-
-# ---------------------------------------------------------------------------
-# General membership via scalar reachability
 
 
 def reduce_membership_to_scalar(gens, target: UTMat, budget: Budget,
@@ -456,14 +423,19 @@ def reduce_membership_to_scalar(gens, target: UTMat, budget: Budget,
         keep = [i for i, g in enumerate(gens) if g.a != 0 and g.c != 0]
         return _remap(solve_membership_nonzero_diag(
             [gens[i] for i in keep], target), keep)
-    if target.c != 0:
-        keep = [i for i, g in enumerate(gens) if g.c != 0]
-        return _remap(solve_membership_one_zero(
-            [gens[i] for i in keep], target, prm_budget, "c"), keep)
-    if target.a != 0:
-        keep = [i for i, g in enumerate(gens) if g.a != 0]
-        return _remap(solve_membership_one_zero(
-            [gens[i] for i in keep], target, prm_budget, "a"), keep)
+    if target.a != 0 or target.c != 0:
+        # one diagonal zero: reachability from (0, 1) to (T12, nonzero
+        # entry) by the factors nonzero there, where some factor must be
+        # zero where the target is, tracked by a state flag; a nonzero
+        # top-left is first moved to the bottom right by _flip_ut
+        flip = target.c == 0
+        keep = [i for i, g in enumerate(gens) if (g.a if flip else g.c)]
+        kept = [_flip_ut(gens[i]) if flip else gens[i] for i in keep]
+        y = Vec2(target.b, target.a if flip else target.c)
+        v = _vecreach_nonzero(kept, Vec2(0, 1), y, prm_budget, flagged=True)
+        if v.is_yes and flip:
+            v = yes(reversed(v.witness))
+        return _remap(v, keep)
     # target (0 T12; 0 0) with T12 != 0: one double-zero generator
     # absorbs everything around it, or a bottom-right zero meets a
     # top-left zero with an arbitrary middle product

@@ -10,8 +10,7 @@ from math import gcd
 from click.testing import CliRunner
 
 from semireach import problems as P
-from semireach.bridge import (GEN_HARD_VARIANTS, disjunction, encode_affine,
-                              gen_hard, reduce_affQ_to_vecreach,
+from semireach.bridge import (GEN_HARD_VARIANTS, encode_affine, gen_hard,
                               subset_sum_dp)
 from semireach.cli import dispatch, main, random_instance, replay_instance
 from semireach.core import AffineMap, Mat2, UTMat, Vec2
@@ -21,7 +20,7 @@ from semireach.machines import (Bca, digit_guess_value, reach_bca, reach_prm,
 from semireach.machines import PrmBudget
 from semireach.mortality import solve_mortality, stabilizer_basis
 from semireach.oracle import oracle_solve, replay
-from semireach.problems import Budget, ProblemInstance
+from semireach.problems import Budget, ProblemInstance, disjunction
 from semireach.utsolvers import reduce_membership_to_scalar
 
 B8 = Budget(8, 10 ** 6)
@@ -342,22 +341,6 @@ def test_criterion_10_reduction_equivalences():
                                    y=y)
         if not _agree(oracle_solve(inst, small),
                       oracle_solve(encode_affine(inst), small)):
-            ok = False
-
-    # rational affine reachability vs the vector-reachability disjunction
-    for _ in range(120):
-        k = rng.randint(0, 2)
-        gens = tuple(AffineMap.make(rng.randint(-2, 2), rng.randint(-2, 2),
-                                    rng.choice((1, 2)), "Q")
-                     for _ in range(k))
-        y = Fraction(rng.randint(-5, 5), rng.choice((1, 2)))
-        if y == 0:
-            continue
-        inst = ProblemInstance(P.AFFINE_REACHABILITY_Q, gens,
-                               x=Fraction(rng.randint(-3, 3)), y=y)
-        subs = reduce_affQ_to_vecreach(inst)
-        if not _agree(oracle_solve(inst, small),
-                      disjunction([oracle_solve(s, small) for s in subs])):
             ok = False
 
     # zero-diagonal membership vs the scalar-reachability case split

@@ -1,5 +1,4 @@
-"""Affine-to-matrix encodings, the rational affine reduction, and
-hardness generators."""
+"""Affine-to-matrix encodings and hardness generators."""
 
 import itertools
 import random
@@ -8,11 +7,10 @@ from fractions import Fraction
 import pytest
 
 from semireach import problems as P
-from semireach.bridge import (disjunction, encode_affine, gen_hard,
-                              reduce_affQ_to_vecreach, subset_sum_dp)
+from semireach.bridge import encode_affine, gen_hard, subset_sum_dp
 from semireach.core import AffineMap, Mat2, UTMat, Vec2
 from semireach.oracle import oracle_solve, replay
-from semireach.problems import Budget, ProblemInstance, no, unknown, yes
+from semireach.problems import Budget, ProblemInstance
 
 B = Budget(8, 10 ** 6)
 
@@ -108,39 +106,6 @@ def test_encode_preserves_oracle_answer():
         b = oracle_solve(encode_affine(inst), Budget(6, 10 ** 4))
         if a.definitive and b.definitive:
             assert a.is_yes == b.is_yes, inst
-
-
-def test_affq_reduction_examples():
-    inst = ProblemInstance(P.AFFINE_REACHABILITY_Q,
-                           (AffineMap.make(1, 0, 2, "Q"),),
-                           x=Fraction(1), y=Fraction(1, 4))
-    subs = reduce_affQ_to_vecreach(inst)
-    assert len(subs) == 1
-    assert subs[0].y == Vec2(0, 0)
-    assert subs[0].generators[-1] == UTMat(4, -1, 0)
-    assert disjunction([oracle_solve(s, B) for s in subs]).is_yes
-
-    inst2 = ProblemInstance(P.AFFINE_REACHABILITY_Q,
-                            (AffineMap.make(0, 3, 1, "Q"),
-                             AffineMap.make(1, 1, 1, "Q")),
-                            x=Fraction(0), y=Fraction(5))
-    subs2 = reduce_affQ_to_vecreach(inst2)
-    assert len(subs2) == 2  # main start plus one constant start
-    assert disjunction([oracle_solve(s, B) for s in subs2]).is_yes
-
-    inst3 = ProblemInstance(P.AFFINE_REACHABILITY_Q,
-                            (AffineMap.make(1, 1, 1, "Q"),),
-                            x=Fraction(0), y=Fraction(-1))
-    subs3 = reduce_affQ_to_vecreach(inst3)
-    assert len(subs3) == 1
-    assert not disjunction([oracle_solve(s, B) for s in subs3]).is_yes
-
-
-def test_disjunction_ordering():
-    assert disjunction([no(), yes((1,))]).is_yes
-    assert disjunction([no(), unknown()]).kind == "unknown"
-    assert disjunction([no(), no()]).is_no
-    assert disjunction([]).is_no
 
 
 def test_gen_hard_shapes():

@@ -11,7 +11,7 @@ from semireach.machines import (Bca, Prm, PrmBudget, ReductionParams,
                                 _monotone_bounds, digit_guess_value,
                                 poly_eval, reach_bca, reach_prm,
                                 reduce_bca_to_arm, sufficient_budget)
-from semireach.problems import Verdict, no, unknown
+from semireach.problems import no, unknown, yes
 
 INF = float("inf")
 
@@ -38,7 +38,6 @@ def test_reach_bca_basic():
     m = Bca(("p", "q"), 2, (("p", 2, "q"), ("q", -1, "q")))
     v = reach_bca(m, ("p", 0), ("q", 0))
     assert v.is_yes and v.witness == (0, 1, 1)
-    assert v.path == (("p", 0), ("q", 2), ("q", 1), ("q", 0))
     assert reach_bca(m, ("q", 0), ("p", 0)).is_no
     assert reach_bca(m, ("p", 1), ("p", 1)).witness == ()
     with pytest.raises(ValueError):
@@ -58,7 +57,6 @@ def test_reach_prm_increment_chain():
     m = Prm(("q",), (("q", "q", (1, 1)),))
     v = reach_prm(m, ("q", 0), ("q", 5), PrmBudget(100))
     assert v.is_yes and v.witness == (0, 0, 0, 0, 0)
-    assert v.path[0] == ("q", 0) and v.path[-1] == ("q", 5)
 
 
 def test_reach_prm_monotone_pruning_gives_no():
@@ -90,7 +88,7 @@ def _reference_reach_prm(m, src, dst, budget):
     tuples: poly_eval on every edge, and the same check order (monotone
     bounds, already seen, magnitude cap, step budget)."""
     if src == dst:
-        return Verdict("yes", witness=(), path=(src,))
+        return yes(())
     lo, hi = _monotone_bounds(m, dst)
     index = {q: i for i, q in enumerate(m.states)}
 
@@ -120,13 +118,11 @@ def _reference_reach_prm(m, src, dst, budget):
                     continue
                 parent[nc] = (conf, i)
                 if nc == dst:
-                    path, wit = [nc], []
+                    wit = []
                     while parent[nc] is not None:
                         nc, i = parent[nc]
-                        path.append(nc)
                         wit.append(i)
-                    return Verdict("yes", witness=tuple(reversed(wit)),
-                                   path=tuple(reversed(path)))
+                    return yes(reversed(wit))
                 nxt.append(nc)
         frontier = nxt
     return unknown() if pruned else no("saturation")
@@ -166,7 +162,7 @@ def test_reach_prm_matches_tuple_keyed_search():
         budget = PrmBudget(rng.randint(1, 40), rng.choice(caps))
         want = _reference_reach_prm(m, src, dst, budget)
         got = reach_prm(m, src, dst, budget)
-        # Verdict equality compares kind, witness, certificate and path
+        # Verdict equality compares kind, witness and certificate
         assert got == want, (m, src, dst, budget)
         kinds.add((kind, got.kind, got.certificate))
     # every outcome shows up for the bounded and the unbounded searches
@@ -470,6 +466,22 @@ def test_reduce_bca_to_arm_preserves_reachability():
                         sufficient_budget(red))
         assert got.definitive, (m, src, dst)
         assert got.is_yes == want.is_yes, (m, src, dst)
+
+
+def test_reduce_bca_to_arm_rejects_state_name_collisions():
+    # an input state named like a padding state would merge with it: the
+    # machine below cannot reach ("@pad:0:a", 1), its reduction could
+    m = Bca(("p", "q", "@pad:0:a"), 1, (("p", 1, "q"),))
+    src, dst = ("p", 0), ("@pad:0:a", 1)
+    assert reach_bca(m, src, dst).is_no
+    with pytest.raises(ValueError):
+        reduce_bca_to_arm(m, src, dst)
+    with pytest.raises(ValueError):
+        reduce_bca_to_arm(Bca(("q", "@guess:0:1"), 1, (("q", 1, "q"),)),
+                          ("q", 0), ("q", 1))
+    # states that differ only in type collide once stringified
+    with pytest.raises(ValueError):
+        reduce_bca_to_arm(Bca((1, "1"), 1, ()), (1, 0), ("1", 0))
 
 
 def test_reduced_machine_guard_invariant():

@@ -4,8 +4,8 @@ import pytest
 
 from semireach import problems as P
 from semireach.core import AffineMap, UTMat, Vec2
-from semireach.problems import (Budget, ProblemInstance, Verdict, no, unknown,
-                                yes)
+from semireach.problems import (Budget, ProblemInstance, Verdict, disjunction,
+                                no, unknown, yes)
 
 
 def test_required_fields_enforced():
@@ -63,3 +63,10 @@ def test_verdict_shapes():
         Verdict("maybe")
     with pytest.raises(ValueError):
         Verdict("no")  # a No needs a certificate kind
+
+
+def test_disjunction_ordering():
+    assert disjunction([no(), yes((1,))]).is_yes
+    assert disjunction([no(), unknown()]).kind == "unknown"
+    assert disjunction([no(), no()]).is_no
+    assert disjunction([]).is_no

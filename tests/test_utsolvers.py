@@ -11,16 +11,14 @@ import time
 import pytest
 
 from semireach import problems as P
-from semireach.bridge import disjunction
 from semireach.cli import dispatch
 from semireach.core import UTMat, Vec2
 from semireach.machines import PrmBudget
 from semireach.oracle import oracle_solve, replay
-from semireach.problems import Budget, ProblemInstance
+from semireach.problems import Budget, ProblemInstance, disjunction
 from semireach.utsolvers import (_diag_words, _lattice_prm,
                                  reduce_membership_to_scalar,
                                  solve_membership_nonzero_diag,
-                                 solve_membership_one_zero,
                                  solve_vecreach_ut22)
 
 PB = PrmBudget(4096, 10 ** 9)
@@ -153,23 +151,23 @@ def test_membership_nonzero_diag_scales_with_target_diagonal():
 def test_membership_one_zero_examples():
     gens = (UTMat(0, 1, 2), UTMat(1, 1, 1))
     t = UTMat(0, 3, 2)
-    v = solve_membership_one_zero(gens, t, PB)
+    v = reduce_membership_to_scalar(gens, t, B, PB)
     assert v.is_yes and replay(_member(gens, t), v.witness)
     # a zero top-left in the target forces a zero top-left factor
     assert any(gens[i].a == 0 for i in v.witness)
 
-    v = solve_membership_one_zero((UTMat(2, 1, 1),), UTMat(4, 3, 1), PB)
+    v = reduce_membership_to_scalar((UTMat(2, 1, 1),), UTMat(4, 3, 1), B, PB)
     assert v.is_yes and v.witness == (0, 0)
 
-    assert solve_membership_one_zero((UTMat(1, 1, 1),),
-                                     UTMat(0, 1, 1), PB).is_no
+    assert reduce_membership_to_scalar((UTMat(1, 1, 1),),
+                                       UTMat(0, 1, 1), B, PB).is_no
 
 
 def test_membership_one_zero_mirrored_variant():
     # top-left-nonzero variant by transpose symmetry, witness order kept
     gens = (UTMat(2, 1, 0), UTMat(1, 1, 1))
     t = UTMat(2, 3, 0)
-    v = solve_membership_one_zero(gens, t, PB, nonzero="a")
+    v = reduce_membership_to_scalar(gens, t, B, PB)
     assert v.is_yes and replay(_member(gens, t), v.witness)
 
 
@@ -181,7 +179,7 @@ def test_membership_one_zero_cross_check():
                            rng.choice((-2, -1, 1, 2))) for _ in range(k))
         t = UTMat(rng.randint(-4, 4), rng.randint(-6, 6),
                   rng.choice((-4, -2, -1, 1, 2, 4)))
-        got = solve_membership_one_zero(gens, t, PB)
+        got = reduce_membership_to_scalar(gens, t, B, PB)
         inst = _member(gens, t)
         if got.is_yes:
             assert replay(inst, got.witness), inst
@@ -206,6 +204,29 @@ def test_reduce_membership_to_scalar_examples():
     assert reduce_membership_to_scalar(gens2, UTMat(0, 5, 0), B, PB).is_no
 
 
+def _check_against_oracle(gens, t):
+    """The split's Yes replays and agrees with the oracle; returns the
+    oracle's verdict."""
+    got = reduce_membership_to_scalar(gens, t, B, PB)
+    inst = _member(gens, t)
+    if got.is_yes:
+        assert replay(inst, got.witness), inst
+    want = oracle_solve(inst, B)
+    if want.definitive and got.definitive:
+        assert got.is_yes == want.is_yes, inst
+    if want.is_yes:
+        assert got.is_yes, inst
+    return want
+
+
+def _target_shape(t):
+    if t.is_zero():
+        return "zero"
+    return {(True, True): "both", (False, True): "only T22",
+            (True, False): "only T11", (False, False): "(0 b; 0 0)"}[
+                t.a != 0, t.c != 0]
+
+
 def test_reduce_membership_to_scalar_cross_check():
     rng = random.Random(35)
     for _ in range(100):
@@ -213,15 +234,23 @@ def test_reduce_membership_to_scalar_cross_check():
         gens = tuple(UTMat(rng.randint(-2, 2), rng.randint(-2, 2),
                            rng.randint(-2, 2)) for _ in range(k))
         t = UTMat(rng.randint(-3, 3), rng.randint(-4, 4), rng.randint(-3, 3))
-        got = reduce_membership_to_scalar(gens, t, B, PB)
-        inst = _member(gens, t)
-        if got.is_yes:
-            assert replay(inst, got.witness), inst
-        want = oracle_solve(inst, B)
-        if want.definitive and got.definitive:
-            assert got.is_yes == want.is_yes, inst
-        if want.is_yes:
-            assert got.is_yes, inst
+        _check_against_oracle(gens, t)
+    # products of the generators, one off in the top-right, and zero:
+    # every target shape of the split meets both oracle answers
+    seen = set()
+    for _ in range(400):
+        gens = tuple(UTMat(rng.randint(-2, 2), rng.randint(-2, 2),
+                           rng.randint(-2, 2))
+                     for _ in range(rng.randint(1, 3)))
+        prod = UTMat.identity()
+        for _ in range(rng.randint(0, 4)):
+            prod = prod * rng.choice(gens)
+        for t in (prod, UTMat(prod.a, prod.b + 1, prod.c), UTMat(0, 0, 0)):
+            want = _check_against_oracle(gens, t)
+            if want.definitive:
+                seen.add((_target_shape(t), want.kind))
+    for shape in ("zero", "both", "only T22", "only T11", "(0 b; 0 0)"):
+        assert {(shape, "yes"), (shape, "no")} <= seen, shape
 
 
 def _divisor_lengths(values, n, max_len):
@@ -377,10 +406,10 @@ def test_exact_vecreach_matches_oracle():
         bump = rng.choice((0, 0, 1, -2))
         if i % 2:
             # flagged: a top-left-zero target, answered through the
-            # one-zero membership solver
+            # membership split's flagged search
             t = UTMat(0, prod.b + bump, prod.c)
             inst = _member(gens, t)
-            runs = [solve_membership_one_zero(gens, t, pb)
+            runs = [reduce_membership_to_scalar(gens, t, B, pb)
                     for pb in (big,) + small]
         else:
             x = Vec2(rng.randint(-3, 3), rng.choice((-2, -1, 1, 2)))
