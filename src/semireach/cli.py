@@ -34,7 +34,7 @@ from .utsolvers import reduce_membership_to_scalar, solve_vecreach_ut22
 BCA_REACHABILITY = "bca-reachability"
 ARM_REACHABILITY = "arm-reachability"
 
-_INT_RE = re.compile(r"^-?(0|[1-9][0-9]*)$")
+_INT_RE = re.compile(r"-?(0|[1-9][0-9]*)")
 
 EXIT_BY_KIND = {"yes": 0, "no": 1, "unknown": 2}
 
@@ -69,7 +69,7 @@ def _enc_int(n: int) -> str:
 
 
 def _dec_int(s) -> int:
-    if not isinstance(s, str) or not _INT_RE.match(s):
+    if not isinstance(s, str) or not _INT_RE.fullmatch(s):
         raise SchemaError(f"bad integer encoding {s!r}")
     return int(s)
 
@@ -151,14 +151,19 @@ def _dec_machine(doc, problem: str):
     states = tuple(_dec_list(doc["states"], "machine states", None))
     if not all(isinstance(q, str) for q in states):
         raise SchemaError("machine states must be strings")
-    trans = [_dec_list(tr, "machine transition", 3) for tr in
-             _dec_list(doc["transitions"], "machine transitions", None)]
-    if problem == BCA_REACHABILITY:
-        return Bca(states, _dec_int(doc["bound"]),
-                   tuple((s, _dec_int(p), d) for s, p, d in trans))
-    arm = [(s, d, _dec_list(p, "ARM polynomial", None)) for s, d, p in trans]
-    return Prm(states, tuple((s, d, tuple(_dec_int(c) for c in p))
-                             for s, d, p in arm))
+    bca = problem == BCA_REACHABILITY
+    bound = _dec_int(doc["bound"]) if bca else None
+    trans = []
+    for tr in _dec_list(doc["transitions"], "machine transitions", None):
+        s, mid, last = _dec_list(tr, "machine transition", 3)
+        if bca:  # [source, counter delta, target]
+            trans.append((s, _dec_int(mid), last))
+        else:  # [source, target, update coefficients]
+            coeffs = _dec_list(last, "ARM polynomial", None)
+            trans.append((s, mid, tuple(map(_dec_int, coeffs))))
+    if bca:
+        return Bca(states, bound, tuple(trans))
+    return Prm(states, tuple(trans))
 
 
 def _enc_config(conf):

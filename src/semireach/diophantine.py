@@ -373,8 +373,8 @@ class SemilinearSet:
     components: tuple = ()
 
     def __post_init__(self):
-        comps = _prune(list(dict.fromkeys(self.components)))
-        object.__setattr__(self, "components", tuple(sorted(comps)))
+        object.__setattr__(self, "components",
+                           tuple(_prune(self.components)))
 
     @staticmethod
     def empty() -> "SemilinearSet":
@@ -388,86 +388,137 @@ class SemilinearSet:
         return not self.components
 
     def member(self, t: int) -> bool:
-        return any(_ray_member(b, s, t) for b, s in self.components)
+        for b, s in self.components:
+            d = t - b
+            if s > 0:
+                if d >= 0 and not d % s:
+                    return True
+            elif s:
+                if d <= 0 and not d % s:
+                    return True
+            elif not d:
+                return True
+        return False
 
 
-def ray_sums(comps1, comps2) -> list:
-    """Rays whose union is the sumset of two unions of rays, unpruned."""
-    out = []
-    for b1, s1 in comps1:
-        for b2, s2 in comps2:
-            out.extend(_ray_sum(b1, s1, b2, s2))
+def _canonical(comps) -> SemilinearSet:
+    """A SemilinearSet of components already pruned and sorted."""
+    out = object.__new__(SemilinearSet)
+    object.__setattr__(out, "components", comps)
     return out
 
 
-def _ray_member(b: int, s: int, t: int) -> bool:
-    if s == 0:
-        return t == b
-    d = t - b
-    return d % s == 0 and d // s >= 0
-
-
-def _prune(comps):
-    """The distinct rays of comps that lie in no other ray, in input
-    order.  A ray lies in a ray of step s2 only if s2 divides its step
-    with the same sign (any s2 for a singleton) and its base is a member.
-    Per (step, base mod step), the least base of the upward rays and the
-    greatest of the downward ones span all the others, so one table of
-    those ends answers each test in one lookup per distinct step."""
-    ends = {}
+def _ends(comps):
+    """The rays of comps as a table and the singletons as a set.  The
+    table maps each step s to a dict from base mod s to the least base of
+    those upward rays, or the greatest of the downward ones: that ray
+    spans all the others of its class."""
+    ends, singles = {}, set()
     for b, s in comps:
         if s:
-            key = (s, b % s)
-            e = ends.get(key)
-            if e is None or (b < e if s > 0 else b > e):
-                ends[key] = b
-    if not ends:
-        return comps  # distinct singletons
-    steps = {s for s, _ in ends}
-    over = {s: [t for t in steps if s % t == 0 and (s > 0) == (t > 0)]
-            for s in steps}
-    over[0] = list(steps)
+            r = b % s
+            table = ends.get(s)
+            if table is None:
+                ends[s] = {r: b}
+            else:
+                e = table.get(r)
+                if e is None or (b < e if s > 0 else b > e):
+                    table[r] = b
+        else:
+            singles.add(b)
+    return ends, singles
+
+
+def _maximal(ends, singles) -> list:
+    """The rays of the _ends table and the singletons that lie in no
+    other ray, sorted.  Only the end of a class can be one of them, and a
+    ray lies in a ray of step t only if t divides its step with the same
+    sign (any t for a singleton), so each test is one lookup per such
+    step."""
+    items = list(ends.items())
     out = []
-    for c in comps:
-        b, s = c
-        for t in over[s]:
-            e = ends.get((t, b % t))
-            if e is not None and (e <= b if t > 0 else e >= b) \
-                    and (e != b or t != s):
+    for s, table in items:
+        over = [(t, tt) for t, tt in items
+                if t != s and not s % t and (s > 0) == (t > 0)]
+        if not over:
+            out += [(e, s) for e in table.values()]
+            continue
+        for e in table.values():
+            for t, tt in over:
+                f = tt.get(e % t)
+                if f is not None and (f <= e if t > 0 else f >= e):
+                    break
+            else:
+                out.append((e, s))
+    for x in singles:
+        for t, tt in items:
+            f = tt.get(x % t)
+            if f is not None and (f <= x if t > 0 else f >= x):
                 break
         else:
-            out.append(c)
+            out.append((x, 0))
+    out.sort()
     return out
 
 
-def _ray_sum(b1: int, s1: int, b2: int, s2: int):
-    b = b1 + b2
-    if s1 == 0 and s2 == 0:
-        return [(b, 0)]
-    if s1 == 0:
-        return [(b, s2)]
-    if s2 == 0:
-        return [(b, s1)]
-    g = gcd(s1, s2)
-    if s1 * s2 < 0:
-        return [(b, g), (b, -g)]  # full residue class
-    sign = 1 if s1 > 0 else -1
-    u, v = abs(s1) // g, abs(s2) // g
-    if u == 1 or v == 1:
-        return [(b, sign * g)]
-    # numerical semigroup <u, v> with u, v coprime: everything from the
-    # conductor (u-1)(v-1) upward, plus sporadic small elements
-    cond = (u - 1) * (v - 1)
-    reach = [False] * cond
-    reach[0] = True
-    for e in range(cond):
-        if reach[e]:
-            for d in (u, v):
-                if e + d < cond:
-                    reach[e + d] = True
-    comps = [(b + sign * g * e, 0) for e in range(cond) if reach[e]]
-    comps.append((b + sign * g * cond, sign * g))
-    return comps
+def _prune(comps) -> list:
+    """The distinct rays of comps that lie in no other ray, sorted."""
+    return _maximal(*_ends(comps))
+
+
+def sum_union(rays, pairs) -> SemilinearSet:
+    """The union of the rays and of the sumsets comps1 + comps2 of the
+    (comps1, comps2) pairs of rays, as a SemilinearSet.
+
+    A singleton shifts the other ray, and rays of opposite signs sum to
+    the full class b + gZ, g = gcd(s1, s2), as two rays.  Same-sign rays
+    sum to b + g*<u, v>, u = s1/g and v = s2/g coprime: the tail ray from
+    the conductor (u-1)(v-1) upward, plus the elements of the numerical
+    semigroup <u, v> below it (Sylvester 1884).  The tail rays go in
+    first.  A ray of the union whose step divides g contains the elements
+    of b + g*<u, v> from its base on, in its direction, so the elements
+    below the conductor are listed only between the nearest such bases
+    on either side: none when a ray in g's direction contains b."""
+    rays = list(rays)
+    blocks = []
+    for comps1, comps2 in pairs:
+        for b1, s1 in comps1:
+            for b2, s2 in comps2:
+                b = b1 + b2
+                if not (s1 and s2):
+                    rays.append((b, s1 or s2))
+                    continue
+                g = gcd(s1, s2)
+                if (s1 > 0) != (s2 > 0):
+                    rays += ((b, g), (b, -g))
+                    continue
+                if s1 < 0:
+                    g = -g
+                u, v = s1 // g, s2 // g
+                if u == 1 or v == 1:
+                    rays.append((b, g))
+                    continue
+                cond = (u - 1) * (v - 1)
+                rays.append((b + g * cond, g))
+                blocks.append((b, g, u, v, cond))
+    ends, singles = _ends(rays)
+    for b, g, u, v, hi in blocks:
+        # list b + g*e for e in <u, v> with lo < e < hi: a ray of step
+        # t | g contains all e >= hi (t of g's sign) or all e <= lo
+        lo = -1
+        for t, table in ends.items():
+            if not g % t:
+                f = table.get(b % t)
+                if f is not None:
+                    if (t > 0) == (g > 0):
+                        hi = min(hi, -((b - f) // g))
+                    else:
+                        lo = max(lo, (f - b) // g)
+        # below the conductor, i*u + j*v has one such pair (i, j)
+        for i in range(0, hi, u):
+            e = max(i, lo + 1 + (i - lo - 1) % v)
+            singles.update(range(b + g * e, b + g * hi, g * v))
+    return _canonical(tuple(_maximal(ends, singles)))
 
 
 def combo_value_set(coeffs: Sequence[int],

@@ -11,7 +11,7 @@ from typing import Optional
 from . import problems as P
 from .core import UTMat, Vec2
 from .detpm1 import _word_product, realize_run, value_set
-from .diophantine import SemilinearSet, nonneg_combination, ray_sums
+from .diophantine import SemilinearSet, nonneg_combination, sum_union
 from .machines import Prm, PrmBudget, reach_prm
 from .oracle import oracle_solve
 from .problems import Budget, ProblemInstance, Verdict, disjunction, no, yes
@@ -132,21 +132,23 @@ def _top_right_sets(gens, into, seg_sets):
     pass in (|C|, |A|, phase) order is complete."""
     sets, segs = {}, {}
     for node in sorted(into, key=lambda n: (abs(n[1]), abs(n[0]), n[2])):
-        comps = [] if into[node] else [(0, 0)]
+        rays = [] if into[node] else [(0, 0)]
+        pairs = []
         for src, label in into[node]:
             C = src[1]
             if isinstance(label, int):
                 g = gens[label]
-                comps += [(g.a * b + g.b * C, g.a * st)
-                          for b, st in sets[src].components]
+                rays += [(g.a * b + g.b * C, g.a * st)
+                         for b, st in sets[src].components]
             else:
-                s = label[0]
                 if (label, C) not in segs:
                     segs[label, C] = [(C * b, C * st) for b, st
                                       in seg_sets[label].components]
-                comps += ray_sums([(s * b, s * st) for b, st
-                                   in sets[src].components], segs[label, C])
-        sets[node] = SemilinearSet(tuple(comps))
+                comps = sets[src].components
+                if label[0] < 0:
+                    comps = [(-b, -st) for b, st in comps]
+                pairs.append((comps, segs[label, C]))
+        sets[node] = sum_union(rays, pairs)
     return sets
 
 

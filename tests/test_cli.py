@@ -197,9 +197,19 @@ def test_parse_rejects_malformed_documents(tmp_path):
                 _with(_BCA_DOC, ("machine", "transitions", 0), "p1q"),
                 _with(_BCA_DOC, ("machine", "transitions"), ""),
                 _with(_ARM_DOC, ("machine", "transitions", 0, 2), "12")]
+    # an integer has one spelling: an optional "-", no leading zero, no
+    # "+", "_" or whitespace, and no trailing newline, wherever it sits
+    noncanonical = []
+    for text in ("5\n", " 5", "+5", "05", "1_0"):
+        noncanonical += [
+            _with(_ARM_DOC, ("y", 1), text),
+            _with(_ARM_DOC, ("machine", "transitions", 1, 2, 0), text),
+            _with(_BCA_DOC, ("machine", "bound"), text),
+            _with(_BCA_DOC, ("machine", "transitions", 0, 1), text),
+            _with(zero_den, ("x",), text)]
     runner = CliRunner()
     for doc in [no_bound, bad_poly, zero_den, no_den] + stringly \
-            + bad_configs:
+            + bad_configs + noncanonical:
         with pytest.raises(SchemaError):
             parse_instance(doc)
         res = runner.invoke(main, ["solve", "-"], input=json.dumps(doc))

@@ -13,10 +13,12 @@ import pytest
 from semireach import problems as P
 from semireach.cli import dispatch
 from semireach.core import UTMat, Vec2
+from semireach.diophantine import sum_union
 from semireach.machines import PrmBudget
 from semireach.oracle import oracle_solve, replay
 from semireach.problems import Budget, ProblemInstance, disjunction
-from semireach.utsolvers import (_diag_words, _lattice_prm,
+from semireach.utsolvers import (_diag_skeleton, _diag_words, _lattice_prm,
+                                 _segment_sets, _top_right_sets,
                                  reduce_membership_to_scalar,
                                  solve_membership_nonzero_diag,
                                  solve_vecreach_ut22)
@@ -457,6 +459,179 @@ def test_live_search_out_of_budget_reads_the_dp_witness():
         assert v.is_yes and len(v.witness) == 25 and replay(inst, v.witness)
     v = solve_vecreach_ut22(gens, x, y, PrmBudget(2048, 10 ** 6))
     assert v.is_yes and len(v.witness) == 10 and replay(inst, v.witness)
+
+
+def _ref_ray_member(b, s, t):
+    """The per-ray membership test SemilinearSet.member once made."""
+    if s == 0:
+        return t == b
+    d = t - b
+    return d % s == 0 and d // s >= 0
+
+
+def _ref_ray_sum(b1, s1, b2, s2):
+    """The eager sum of two rays: every element of the numerical
+    semigroup <u, v> below its conductor is listed as a singleton."""
+    b = b1 + b2
+    if s1 == 0 and s2 == 0:
+        return [(b, 0)]
+    if s1 == 0:
+        return [(b, s2)]
+    if s2 == 0:
+        return [(b, s1)]
+    g = math.gcd(s1, s2)
+    if s1 * s2 < 0:
+        return [(b, g), (b, -g)]
+    sign = 1 if s1 > 0 else -1
+    u, v = abs(s1) // g, abs(s2) // g
+    if u == 1 or v == 1:
+        return [(b, sign * g)]
+    cond = (u - 1) * (v - 1)
+    reach = [False] * cond
+    reach[0] = True
+    for e in range(cond):
+        if reach[e]:
+            for d in (u, v):
+                if e + d < cond:
+                    reach[e + d] = True
+    comps = [(b + sign * g * e, 0) for e in range(cond) if reach[e]]
+    comps.append((b + sign * g * cond, sign * g))
+    return comps
+
+
+def _ref_prune(comps):
+    """The distinct rays of comps that lie in no other ray, by the
+    per-class end table; comps are distinct."""
+    ends = {}
+    for b, s in comps:
+        if s:
+            key = (s, b % s)
+            e = ends.get(key)
+            if e is None or (b < e if s > 0 else b > e):
+                ends[key] = b
+    steps = {s for s, _ in ends}
+    over = {s: [t for t in steps if s % t == 0 and (s > 0) == (t > 0)]
+            for s in steps}
+    over[0] = list(steps)
+    out = []
+    for b, s in comps:
+        for t in over[s]:
+            e = ends.get((t, b % t))
+            if e is not None and (e <= b if t > 0 else e >= b) \
+                    and (e != b or t != s):
+                break
+        else:
+            out.append((b, s))
+    return out
+
+
+def _ref_top_right_sets(gens, into, seg_sets, gaps):
+    """The eager construction: list every ray sum in full, then prune.
+    Appends to gaps, per same-direction sum with a conductor, the node
+    and the singletons listed below it."""
+    sets, segs = {}, {}
+    for node in sorted(into, key=lambda n: (abs(n[1]), abs(n[0]), n[2])):
+        comps = [] if into[node] else [(0, 0)]
+        for src, label in into[node]:
+            C = src[1]
+            if isinstance(label, int):
+                g = gens[label]
+                comps += [(g.a * b + g.b * C, g.a * st)
+                          for b, st in sets[src]]
+                continue
+            s = label[0]
+            if (label, C) not in segs:
+                segs[label, C] = [(C * b, C * st) for b, st
+                                  in seg_sets[label].components]
+            for b1, s1 in sets[src]:
+                for b2, s2 in segs[label, C]:
+                    part = _ref_ray_sum(s * b1, s * s1, b2, s2)
+                    if len(part) > 2:
+                        gaps.append((node, part[:-1]))
+                    comps += part
+        sets[node] = tuple(sorted(_ref_prune(list(dict.fromkeys(comps)))))
+    return sets
+
+
+def test_top_right_sets_match_reference():
+    # the sets built tail ray first, with the elements below a
+    # conductor listed only where no ray covers them, equal the eager
+    # enumerate-then-prune construction at every node of the skeleton,
+    # both the whole one and the part on a path to a goal
+    rng = random.Random(211)
+    covered = uncovered = nodes = 0
+    for i in range(300):
+        gens = [UTMat(rng.choice((-1, 1)), rng.randint(-6, 6),
+                      rng.choice((-1, 1)))
+                for _ in range(rng.randint(0, 3))]
+        gens += [UTMat(rng.choice((-4, -3, -2, 2, 3, 4, 6)),
+                       rng.randint(-5, 5), rng.choice((-3, -2, 2, 3)))
+                 for _ in range(rng.randint(1, 3))]
+        rng.shuffle(gens)
+        seg_sets = _segment_sets(gens)[0]
+        for seg in seg_sets.values():
+            assert sorted(_ref_prune(list(seg.components))) == \
+                list(seg.components)
+        ratio = rng.choice((6, 12, 18, 36, 72))
+        ta = rng.choice((1, -1)) * rng.choice((2, 4, 6, 8, 12, 24))
+        tc = rng.choice((1, -1)) * ratio
+        for into in (
+                _diag_skeleton(gens, seg_sets, lambda A, C: ratio % C == 0),
+                _diag_skeleton(gens, seg_sets,
+                               lambda A, C: ta % A == 0 and tc % C == 0,
+                               (ta, tc, 1))):
+            gaps = []
+            want = _ref_top_right_sets(gens, into, seg_sets, gaps)
+            got = _top_right_sets(gens, into, seg_sets)
+            assert set(got) == set(want)
+            for node, comps in want.items():
+                nodes += 1
+                assert got[node].components == comps, (gens, node)
+                points = [rng.randint(-400, 400) for _ in range(8)]
+                for b, s in rng.sample(comps, min(len(comps), 8)):
+                    points += [b - 1, b, b + 1, b + s - 1, b + 2 * s]
+                for t in points:
+                    assert got[node].member(t) == any(
+                        _ref_ray_member(b, s, t) for b, s in comps)
+            for node, listed in gaps:
+                if set(listed) & set(want[node]):
+                    uncovered += 1
+                else:
+                    covered += 1
+    assert nodes > 4000 and covered > 1000 and uncovered > 100, \
+        (nodes, covered, uncovered)
+
+
+def test_sum_union_matches_reference():
+    # unions of rays of both directions with sums of rays, against the
+    # eager construction: the elements below a conductor that rays of
+    # either direction cover are left out, the rest are listed
+    rng = random.Random(212)
+    steps = (0, 2, -2, 3, -3, 4, -4, 6, -6, 8, -8, 9, -9, 12, -12, 18, -18)
+
+    def rays(k):
+        return [(rng.randint(-40, 40), rng.choice(steps)) for _ in range(k)]
+    seen = {"covered": 0, "part": 0, "uncovered": 0}
+    for _ in range(5000):
+        plain = rays(rng.randint(0, 4))
+        pairs = [(rays(rng.randint(1, 3)), rays(rng.randint(1, 3)))
+                 for _ in range(rng.randint(0, 2))]
+        comps = list(plain)
+        blocks = []
+        for comps1, comps2 in pairs:
+            for b1, s1 in comps1:
+                for b2, s2 in comps2:
+                    part = _ref_ray_sum(b1, s1, b2, s2)
+                    if len(part) > 2:
+                        blocks.append(set(part[:-1]))
+                    comps += part
+        want = tuple(sorted(_ref_prune(list(dict.fromkeys(comps)))))
+        assert sum_union(plain, pairs).components == want, (plain, pairs)
+        for listed in blocks:
+            kept = len(listed & set(want))
+            seen["covered" if not kept else
+                 "uncovered" if kept == len(listed) else "part"] += 1
+    assert min(seen.values()) > 50, seen
 
 
 def _lattice_brute(cs, x2, y2):
