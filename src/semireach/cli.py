@@ -34,7 +34,7 @@ from .utsolvers import reduce_membership_to_scalar, solve_vecreach_ut22
 BCA_REACHABILITY = "bca-reachability"
 ARM_REACHABILITY = "arm-reachability"
 
-_INT_RE = re.compile(r"-?(0|[1-9][0-9]*)")
+_INT_RE = re.compile(r"0|-?[1-9][0-9]*")
 
 EXIT_BY_KIND = {"yes": 0, "no": 1, "unknown": 2}
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from . import problems as P
 from .core import UTMat
-from .diophantine import (LinearSystem, SemilinearSet, combo_value_set,
-                          nonneg_combination, solution_values, solve_linear)
+from .diophantine import (SemilinearSet, combo_value_set, coset_point,
+                          coset_values, nonneg_combination, parity_coset)
 from .problems import ProblemInstance, Verdict, no, yes
 
 SIGN_STATES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -36,33 +36,28 @@ def _classes(gens, s, t):
     return [(_CLASS_OF[g.a, g.c], g.c * g.b) for g in gens]
 
 
-def _flip_part_classes(cls, s, t):
-    """Constraint systems for runs using >= 1 determinant flip.
+def _flip_cosets(cls, s, t):
+    """Parity cosets of the balances of runs using >= 1 determinant flip.
 
     Net firing balances are free integers: d_i (positive-sign uses minus
     negative-sign uses) for sign-preserving generators, x_j likewise for
-    flipping generators.  The flips alternate +,-,+,..., so sum(x) equals
-    m mod 2 for m flips; per-class use-count parities pin the reached
-    sign pair (s, t).  Yields one system per residual parity of the
-    n-class count.
+    flipping generators.  The flips alternate +,-,+,..., so over m flips
+    sum(x) is exactly m mod 2, the cosets' total; per-class use-count
+    parities pin the reached sign pair (s, t).  Yields one coset per
+    residual parity of the n-class count that has a point.
     """
-    idx_flip = [i for i, (k, _) in enumerate(cls) if k in "uv"]
-    if not idx_flip:
+    idx = {k: tuple(i for i, (c, _) in enumerate(cls) if c == k)
+           for k in "uvn"}
+    if not idx["u"] + idx["v"]:
         return
     rm = 0 if s * t > 0 else 1
-    idx_n = tuple(i for i, (k, _) in enumerate(cls) if k == "n")
-    idx_u = tuple(i for i, (k, _) in enumerate(cls) if k == "u")
-    idx_v = tuple(i for i, (k, _) in enumerate(cls) if k == "v")
-    nvars = len(cls)
-    row = tuple(1 if i in set(idx_flip) else 0 for i in range(nvars))
     for rn in (0, 1):
         ru = (rn + (1 if t < 0 else 0)) % 2
         rv = (rn + (1 if s < 0 else 0)) % 2
-        if (rn and not idx_n) or (ru and not idx_u) or (rv and not idx_v):
-            continue
-        sys = LinearSystem((row,), (rm,),
-                           ((idx_n, rn), (idx_u, ru), (idx_v, rv)))
-        yield sys
+        coset = parity_coset(len(cls), ((idx["u"], ru), (idx["v"], rv),
+                                        (idx["n"], rn)), rm)
+        if coset is not None:
+            yield coset
 
 
 def value_set(gens, s, t) -> SemilinearSet:
@@ -75,8 +70,8 @@ def value_set(gens, s, t) -> SemilinearSet:
         comps += combo_value_set([w for _, w in pn], [k == "n" for k, _ in pn],
                                  1 if s < 0 else 0).components
     weights = [w for _, w in cls]
-    for sys in _flip_part_classes(cls, s, t):
-        comps += solution_values(weights, sys)
+    for coset in _flip_cosets(cls, s, t):
+        comps += coset_values(coset, weights)
     # the top-right entry is t times the run value
     return SemilinearSet(tuple((t * w, t * st) for w, st in comps))
 
@@ -99,16 +94,13 @@ def realize_run(gens, s, t, b):
             for i, zc in zip(pn, counts):
                 word += [i] * zc
             return word
-    # flip runs: solve a balance system, then lay the word out as
+    # flip runs: find balances in a coset, then lay the word out as
     # positive-sign block, flip, negative-sign block, flip, flip, ...
     weights = [w_ for _, w_ in cls]
-    for sys in _flip_part_classes(cls, s, t):
-        rows = sys.rows + (tuple(weights),)
-        rhs = sys.rhs + (w,)
-        res = solve_linear(LinearSystem(rows, rhs, sys.parities))
-        if res.kind != "some":
+    for coset in _flip_cosets(cls, s, t):
+        bal = coset_point(coset, weights, w)
+        if bal is None:
             continue
-        bal = list(res.particular)
         flip_idx = [i for i, (k, _) in enumerate(cls) if k in "uv"]
         pos = {i: max(bal[i], 0) for i in flip_idx}
         neg = {i: max(-bal[i], 0) for i in flip_idx}

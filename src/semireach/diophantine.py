@@ -1,6 +1,7 @@
-"""Exact integer linear algebra: Hermite normal form, linear systems over Z
-with parity side constraints, nonnegative integer combinations, and
-one-dimensional semilinear (arithmetic progression) sets."""
+"""Exact integer arithmetic: parity cosets (integer points with parity
+constraints on disjoint index classes), nonnegative integer
+combinations, and one-dimensional semilinear (arithmetic progression)
+sets."""
 
 from __future__ import annotations
 
@@ -14,149 +15,84 @@ from .core import xgcd
 
 
 # ---------------------------------------------------------------------------
-# Hermite normal form
+# Parity cosets
 
 
-def hnf(A: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Row Hermite normal form: returns (H, U) with H == U*A, U unimodular.
+def parity_coset(n: int, classes: Sequence[tuple[Sequence[int], int]],
+                 total: Optional[int] = None):
+    """The points x of Z^n whose sum over each class (indices, r) is r
+    mod 2, the classes being disjoint, and with a total m whose sums over
+    the first two classes add up to m: (x0, gens), the points being x0
+    plus the integer span of gens, or None when there is no point.
 
-    Pivots are positive, entries above a pivot are reduced into [0, pivot).
-    """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    H = [list(row) for row in A]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if H[i][c] != 0), None)
-        if piv is None:
-            continue
-        H[r], H[piv] = H[piv], H[r]
-        U[r], U[piv] = U[piv], U[r]
-        for i in range(r + 1, m):
-            if H[i][c] == 0:
-                continue
-            a, b = H[r][c], H[i][c]
-            u, v, g = xgcd(a, b)
-            aa, bb = a // g, b // g
-            # [[u, v], [-bb, aa]] has determinant 1
-            H[r], H[i] = ([u * x + v * y for x, y in zip(H[r], H[i])],
-                          [-bb * x + aa * y for x, y in zip(H[r], H[i])])
-            U[r], U[i] = ([u * x + v * y for x, y in zip(U[r], U[i])],
-                          [-bb * x + aa * y for x, y in zip(U[r], U[i])])
-        if H[r][c] < 0:
-            H[r] = [-x for x in H[r]]
-            U[r] = [-x for x in U[r]]
-        p = H[r][c]
-        for i in range(r):
-            q = H[i][c] // p
-            if q:
-                H[i] = [x - q * y for x, y in zip(H[i], H[r])]
-                U[i] = [x - q * y for x, y in zip(U[i], U[r])]
-        r += 1
-    return H, U
+    A class puts its parity on its first index, the head, and each other
+    index j of it gets the generator e_j - e_head; its head gets 2*e_head
+    when its sum is otherwise free, and an index in no class gets e_i.
+    With a total, the second class's head (the first's when the second is
+    empty) holds m minus the other class's parity, and 2*(e_h1 - e_h2)
+    trades between the two heads."""
+    def vec(*entries):
+        e = [0] * n
+        for i, k in entries:
+            e[i] = k
+        return e
 
-
-# ---------------------------------------------------------------------------
-# Linear systems over Z
-
-
-@dataclass(frozen=True)
-class LinearSystem:
-    """Rows * x == rhs over Z with free variables and optional parity
-    constraints (sum over an index set == r mod 2).  At least one row;
-    a zero row poses no equation."""
-
-    rows: tuple
-    rhs: tuple
-    parities: tuple = ()  # ((indices...), r) pairs
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        object.__setattr__(self, "rhs", tuple(self.rhs))
-        object.__setattr__(
-            self, "parities",
-            tuple((tuple(ix), r % 2) for ix, r in self.parities))
-        if not self.rows or len(self.rows) != len(self.rhs):
-            raise ValueError("row/rhs dimension mismatch")
-        if any(len(r) != len(self.rows[0]) for r in self.rows):
-            raise ValueError("rows of unequal length")
-
-
-@dataclass(frozen=True)
-class LinearResult:
-    kind: str  # "some" | "none"
-    particular: Optional[tuple] = None  # one solution
-    basis: tuple = ()  # the solutions are particular + the span of basis
-
-
-def _solve_free(rows, rhs) -> Optional[tuple[list[int], list[list[int]]]]:
-    """All-free integer solve; returns (particular, kernel basis) or None."""
-    m, n = len(rows), len(rows[0]) if rows else 0
-    if n == 0:
-        return ([], []) if all(b == 0 for b in rhs) else None
-    At = [[rows[i][j] for i in range(m)] for j in range(n)]
-    Ht, Ut = hnf(At)  # Ht == Ut * A^T, so A * Ut^T == Ht^T
-    V = [[Ut[j][i] for j in range(n)] for i in range(n)]  # columns of Ut^T
-    L = [[Ht[j][i] for j in range(n)] for i in range(m)]  # A*V, column echelon
-    pivots = []  # (row, col) per nonzero column, increasing rows
-    for j in range(n):
-        p = next((i for i in range(m) if L[i][j] != 0), None)
-        if p is None:
-            break
-        pivots.append((p, j))
-    y = [0] * n
-    res = list(rhs)
-    for p, j in pivots:
-        if res[p] % L[p][j] != 0:
+    x0, gens = [0] * n, []
+    heads = [ix[0] if ix else None for ix, _ in classes]
+    for (ix, r), h in zip(classes, heads):
+        if h is None and r % 2:
             return None
-        y[j] = res[p] // L[p][j]
-        for i in range(m):
-            res[i] -= y[j] * L[i][j]
-    if any(res):
-        return None
-    part = [sum(V[i][j] * y[j] for j in range(n)) for i in range(n)]
-    free_cols = range(len(pivots), n)
-    basis = [[V[i][j] for i in range(n)] for j in free_cols]
-    return part, basis
+        if h is not None:
+            x0[h] = r % 2
+            gens += [vec((j, 1), (h, -1)) for j in ix[1:]]
+    gens += [vec((h, 2)) for h in heads[0 if total is None else 2:]
+             if h is not None]
+    covered = {i for ix, _ in classes for i in ix}
+    gens += [vec((i, 1)) for i in range(n) if i not in covered]
+    if total is not None:
+        hu, hv = heads[:2] if heads[1] is not None else heads[1::-1]
+        if hv is None:
+            return (x0, gens) if total == 0 else None
+        rest = total - (0 if hu is None else x0[hu])
+        if (rest - x0[hv]) % 2:
+            return None
+        x0[hv] = rest
+        if hu is not None:
+            gens.append(vec((hu, 2), (hv, -2)))
+    return x0, gens
 
 
-def solve_linear(sys: LinearSystem) -> LinearResult:
-    """Decide a linear system over Z exactly, with a general-solution
-    description.  Parity constraints become extra equations with fresh
-    free variables."""
-    nvars = len(sys.rows[0])
-    extra = len(sys.parities)
-    rows = [list(r) + [0] * extra for r in sys.rows]
-    rhs = list(sys.rhs)
-    for k, (ix, r) in enumerate(sys.parities):
-        row = [0] * (nvars + extra)
-        for i in ix:
-            row[i] += 1
-        row[nvars + k] = -2
-        rows.append(row)
-        rhs.append(r)
-    sol = _solve_free(rows, rhs)
-    if sol is None:
-        return LinearResult("none")
-    part, basis = sol
-    return LinearResult("some", particular=tuple(part[:nvars]),
-                        basis=tuple(tuple(h[:nvars]) for h in basis))
-
-
-def solution_values(coeffs: Sequence[int], sys: LinearSystem) -> list:
-    """The values sum(coeffs_i * x_i) over the integer solutions x of
-    sys, as rays: none without a solution, else the particular
-    solution's value w0 plus the multiples of the gcd h of the basis
-    images, (w0, h) and (w0, -h), or the singleton (w0, 0) when h == 0."""
-    res = solve_linear(sys)
-    if res.kind != "some":
-        return []
-    w0 = sum(c * x for c, x in zip(coeffs, res.particular))
+def coset_values(coset, weights: Sequence[int]) -> list:
+    """The values sum(weights_i * x_i) over the points x of a parity
+    coset, as rays: the value w0 of x0 plus the multiples of the gcd h of
+    the generators' values, (w0, h) and (w0, -h), or the singleton
+    (w0, 0) when h == 0."""
+    x0, gens = coset
+    w0 = sum(w * x for w, x in zip(weights, x0))
     h = 0
-    for vec in res.basis:
-        h = gcd(h, sum(c * x for c, x in zip(coeffs, vec)))
+    for g in gens:
+        h = gcd(h, sum(w * x for w, x in zip(weights, g)))
     return [(w0, h), (w0, -h)] if h else [(w0, 0)]
+
+
+def coset_point(coset, weights: Sequence[int],
+                target: int) -> Optional[list[int]]:
+    """A point x of a parity coset with sum(weights_i * x_i) == target,
+    or None: x0 plus the generators' combination that xgcd, folded over
+    their values, gives for the missing difference."""
+    x0, gens = coset
+    rest = target - sum(w * x for w, x in zip(weights, x0))
+    h, coef = 0, []  # sum(coef_j * value of gens_j) == h
+    for g in gens:
+        u, v, h = xgcd(h, sum(w * x for w, x in zip(weights, g)))
+        coef = [u * c for c in coef] + [v]
+    if h == 0:  # every generator has value 0
+        return list(x0) if rest == 0 else None
+    q, r = divmod(rest, h)
+    if r:
+        return None
+    return [a + q * sum(c * g[i] for c, g in zip(coef, gens))
+            for i, a in enumerate(x0)]
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +258,13 @@ def _fewest_counts(vals, flips, t, parity, dist, mod, fill):
 
 
 def _mixed_combination(coeffs, target, flips, parity):
-    """Mixed-sign case: integer solve, then shift into the nonneg cone
+    """Mixed-sign case: an integer point, then shift into the nonneg cone
     with parity-even zero-sum bundles."""
-    rows = [tuple(coeffs)]
-    rhs = [target]
-    parities = [(tuple(i for i, f in enumerate(flips) if f), parity)]
-    res = solve_linear(LinearSystem(tuple(rows), tuple(rhs),
-                                    tuple(parities)))
-    if res.kind != "some":
+    flagged = [i for i, f in enumerate(flips) if f]
+    z = coset_point(parity_coset(len(coeffs), [(flagged, parity)]),
+                    coeffs, target)
+    if z is None:
         return None
-    z = list(res.particular)
     ip = next(i for i, c in enumerate(coeffs) if c > 0)
     im = next(i for i, c in enumerate(coeffs) if c < 0)
     cp, cm = coeffs[ip], coeffs[im]
@@ -542,11 +475,11 @@ def combo_value_set(coeffs: Sequence[int],
         # any integer solution can be shifted into the nonneg cone by
         # value- and parity-preserving bundles, so the set is the full
         # lattice-coset projection of the unconstrained solutions
-        flagged = tuple(i for i, f in enumerate(flips) if f)
+        flagged = [i for i, f in enumerate(flips) if f]
         comps = []
         for q in parities:
-            comps += solution_values(coeffs, LinearSystem(
-                ((0,) * len(coeffs),), (0,), ((flagged, q),)))
+            comps += coset_values(
+                parity_coset(len(coeffs), [(flagged, q)]), coeffs)
         return SemilinearSet(tuple(comps))
     sign = -1 if has_neg else 1
     vals = [sign * c for c in coeffs]

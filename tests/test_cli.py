@@ -198,9 +198,10 @@ def test_parse_rejects_malformed_documents(tmp_path):
                 _with(_BCA_DOC, ("machine", "transitions"), ""),
                 _with(_ARM_DOC, ("machine", "transitions", 0, 2), "12")]
     # an integer has one spelling: an optional "-", no leading zero, no
-    # "+", "_" or whitespace, and no trailing newline, wherever it sits
+    # "+", "_" or whitespace, no trailing newline, and zero only as "0",
+    # wherever it sits
     noncanonical = []
-    for text in ("5\n", " 5", "+5", "05", "1_0"):
+    for text in ("5\n", " 5", "+5", "05", "1_0", "-0"):
         noncanonical += [
             _with(_ARM_DOC, ("y", 1), text),
             _with(_ARM_DOC, ("machine", "transitions", 1, 2, 0), text),

@@ -1,4 +1,4 @@
-"""Integer linear algebra, nonnegative combinations, semilinear sets."""
+"""Parity cosets, nonnegative combinations, semilinear sets."""
 
 import itertools
 import random
@@ -7,71 +7,97 @@ from math import gcd
 
 from semireach import bridge, diophantine
 from semireach.detpm1 import solve_detpm1
-from semireach.diophantine import (LinearSystem, SemilinearSet,
-                                   combo_value_set, hnf, nonneg_combination,
-                                   solve_linear)
+from semireach.diophantine import (SemilinearSet, combo_value_set,
+                                   coset_point, coset_values,
+                                   nonneg_combination, parity_coset)
 
 
-def _det2(m):
-    # determinant via fraction-free elimination, small matrices only
-    import copy
-    a = copy.deepcopy(m)
-    n = len(a)
-    det = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        for i in range(c + 1, n):
-            while a[i][c]:
-                q = a[c][c] // a[i][c] if a[i][c] else 0
-                a[c], a[i] = a[i], [x - q * y for x, y in zip(a[c], a[i])]
-                det = -det
-        det *= a[c][c]
-    return det
+def _coset_cases(rng):
+    """(n, classes, total): random disjoint classes, some empty, with
+    random parities, and pinned corners: an empty class of parity 1,
+    and totals with one or both flip classes empty."""
+    yield 2, [((), 1), ((0, 1), 0)], None
+    yield 3, [((0, 1), 1), ((), 0), ((2,), 0)], 1
+    yield 3, [((), 0), ((0, 2), 1), ((1,), 1)], 1
+    yield 2, [((), 0), ((), 0), ((0,), 1)], 0
+    yield 2, [((), 0), ((), 0)], 1
+    yield 1, [((), 1), ((0,), 1)], 1
+    for _ in range(400):
+        n = rng.randint(0, 4)
+        total = rng.choice((None, 0, 1))
+        labels = [rng.randrange(-1, 3) for _ in range(n)]  # -1: no class
+        count = max(labels, default=-1) + 1
+        if total is not None:
+            count = max(count, 2)
+        classes = [(tuple(i for i in range(n) if labels[i] == k),
+                    rng.randint(0, 1)) for k in range(count)]
+        yield n, classes, total
 
 
-def test_hnf_shape_and_unimodularity():
-    rng = random.Random(3)
-    for _ in range(100):
-        m = rng.randint(1, 3)
-        n = rng.randint(1, 3)
-        A = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
-        H, U = hnf(A)
-        assert abs(_det2(U)) == 1
-        assert H == [[sum(U[i][k] * A[k][j] for k in range(m))
-                      for j in range(n)] for i in range(m)]
-        # pivots positive, entries above a pivot reduced
-        r = 0
-        for j in range(n):
-            col = [H[i][j] for i in range(r, m)]
-            if any(col):
-                assert H[r][j] > 0
-                for i in range(r):
-                    assert 0 <= H[i][j] < H[r][j]
-                r += 1
+def _in_coset(x, classes, total):
+    if any(sum(x[i] for i in ix) % 2 != r for ix, r in classes):
+        return False
+    return total is None or \
+        sum(x[i] for ix, _ in classes[:2] for i in ix) == total
+
+
+def test_parity_coset_matches_enumeration():
+    rng = random.Random(22)
+    for n, classes, total in _coset_cases(rng):
+        coset = parity_coset(n, classes, total)
+        weights = [rng.randint(-6, 6) for _ in range(n)]
+        points = [x for x in itertools.product(range(-4, 5), repeat=n)
+                  if _in_coset(x, classes, total)]
+        case = (n, classes, total, weights)
+        # entries in {-1, 0, 1, 2} meet any of these constraints that
+        # some integer point meets
+        assert (coset is None) == (not points), case
+        if coset is None:
+            continue
+        x0, gens = coset
+        assert _in_coset(x0, classes, total), case
+        for g in gens:
+            for sign in (1, -1):
+                assert _in_coset([a + sign * b for a, b in zip(x0, g)],
+                                 classes, total), (case, g)
+        values = SemilinearSet(tuple(coset_values(coset, weights)))
+        for x in points:
+            assert values.member(sum(w * a for w, a in zip(weights, x))), \
+                (case, x)
+        for t in range(-40, 41):
+            x = coset_point(coset, weights, t)
+            assert (x is not None) == values.member(t), (case, t)
+            if x is not None:
+                assert _in_coset(x, classes, total), (case, t, x)
+                assert sum(w * a for w, a in zip(weights, x)) == t, (case, t)
 
 
 def test_solve_linear_free_exact():
-    res = solve_linear(LinearSystem(((2, 3),), (7,)))
-    assert res.kind == "some"
-    x, y = res.particular
+    # 2x + 3y == 7 over the free coset, which spans all of Z^2
+    free = parity_coset(2, [])
+    x, y = coset_point(free, (2, 3), 7)
     assert 2 * x + 3 * y == 7
-    assert solve_linear(LinearSystem(((2, 4),), (5,))).kind == "none"
-    # basis spans the kernel
-    for vec in res.basis:
-        assert 2 * vec[0] + 3 * vec[1] == 0
+    assert coset_values(free, (2, 3)) == [(0, 1), (0, -1)]
+    assert coset_point(free, (2, 4), 5) is None
+    assert coset_values(free, (2, 4)) == [(0, 2), (0, -2)]
+    # the generators are the unit vectors, so they span Z^2
+    assert sorted(map(tuple, free[1])) == [(0, 1), (1, 0)]
 
 
 def test_solve_linear_parity_rows():
     # x + y == 4 with x odd
-    res = solve_linear(LinearSystem(((1, 1),), (4,), (((0,), 1),)))
-    assert res.kind == "some"
-    x, y = res.particular
+    x, y = coset_point(parity_coset(2, [((0,), 1)]), (1, 1), 4)
     assert x + y == 4 and x % 2 == 1
+    # x odd and y even: x + y is odd, so 4 is out of reach
+    odd_even = parity_coset(2, [((0,), 1), ((1,), 0)])
+    assert coset_values(odd_even, (1, 1)) == [(1, 2), (1, -2)]
+    assert coset_point(odd_even, (1, 1), 4) is None
+    # the same row as a total over two classes, x and y both odd
+    x0, gens = parity_coset(2, [((0,), 1), ((1,), 1)], 4)
+    assert x0[0] + x0[1] == 4 and x0[0] % 2 == 1 and x0[1] % 2 == 1
+    for g in gens:
+        assert g[0] + g[1] == 0 and g[0] % 2 == 0
+    assert parity_coset(2, [((0,), 1), ((1,), 0)], 4) is None
 
 
 def _brute_combo(coeffs, target, flips, parity, bound=14):

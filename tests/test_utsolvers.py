@@ -456,7 +456,7 @@ def test_live_search_out_of_budget_reads_the_dp_witness():
     inst = _vec(gens, x, y)
     for pb in (PrmBudget(1024, 10 ** 6), PrmBudget(8)):
         v = solve_vecreach_ut22(gens, x, y, pb)
-        assert v.is_yes and len(v.witness) == 25 and replay(inst, v.witness)
+        assert v.is_yes and len(v.witness) == 18 and replay(inst, v.witness)
     v = solve_vecreach_ut22(gens, x, y, PrmBudget(2048, 10 ** 6))
     assert v.is_yes and len(v.witness) == 10 and replay(inst, v.witness)
 
