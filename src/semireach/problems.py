@@ -135,10 +135,12 @@ def unknown() -> Verdict:
 
 def disjunction(verdicts: Sequence[Verdict]) -> Verdict:
     """Combine the verdicts of alternative sub-questions: Yes dominates,
-    then Unknown, then No."""
+    then Unknown, then No.  The No is structural when every No it
+    combines is (so also when there are none), else saturation."""
     for v in verdicts:
         if v.is_yes:
             return v
     if any(not v.definitive for v in verdicts):
         return unknown()
-    return no("saturation")
+    return no("structural" if all(v.certificate == "structural"
+                                  for v in verdicts) else "saturation")

@@ -473,4 +473,4 @@ def reduce_membership_to_scalar(gens, target: UTMat, budget: Budget,
                         return yes(a_words[alpha] + (i,) + v.witness
                                    + (j,) + c_words[beta])
                     verdicts.append(v)
-    return disjunction(verdicts) if verdicts else no("structural")
+    return disjunction(verdicts)

@@ -9,8 +9,9 @@ import pytest
 from semireach import mortality
 from semireach import problems as P
 from semireach.bridge import gen_hard
-from semireach.cli import random_instance
-from semireach.core import Mat2, Vec2, primitive
+from semireach.cli import dispatch, random_instance
+from semireach.core import Mat2, UTMat, Vec2, primitive
+from semireach.machines import PrmBudget
 from semireach.mortality import (StabilizerBasis, solve_mortality,
                                  stabilizer_basis)
 from semireach.oracle import oracle_solve, replay
@@ -63,6 +64,14 @@ def test_mortality_examples():
     assert v.is_yes and replay(inst, v.witness)
 
     assert solve_mortality((Mat2(1, 1, 0, 1), Mat2(2, 1, 1, 1)), B).is_no
+    # commuting-shear middles are decided exactly, whatever the budget:
+    # 1000 is no sum of 97s and 89s, and 10**k is a sum of 3s and 5s
+    v = solve_mortality(gen_hard([97, 89], 1000, "mortality").generators, B)
+    assert v.is_no and v.certificate == "structural"
+    for k in range(1, 7):
+        inst = gen_hard([3, 5], 10 ** k, "mortality")
+        v = solve_mortality(inst.generators, Budget(1))
+        assert v.is_yes and replay(inst, v.witness)
     z = solve_mortality((Mat2(1, 0, 0, 1), Mat2(0, 0, 0, 0)), B)
     assert z.is_yes and z.witness == (1,)
     with pytest.raises(ValueError):
@@ -86,6 +95,19 @@ def _random_mortality_gens(rng):
                     gens.append(m)
                     break
     return tuple(gens)
+
+
+def _finite_orbit_gens(rng):
+    """Two powers of a conjugate of (0 -1; 1 1), which has order 6, and
+    some singular generators: no closed-form shape, and every orbit is
+    finite, so the orbit search saturates."""
+    while True:
+        p = Mat2(*(rng.randint(-2, 2) for _ in range(4)))
+        if p.det() == 1:
+            break
+    m = p * Mat2(0, -1, 1, 1) * _inv_sl(p)
+    singular = [g for g in _random_mortality_gens(rng) if g.det() == 0]
+    return (m, m * m) + tuple(singular or [Mat2(1, 0, 0, 0)])
 
 
 def test_mortality_cross_check():
@@ -196,25 +218,36 @@ def test_orbit_search_matches_vec2_reference(monkeypatch):
     cases += [random_instance(rng, "mortality").generators
               for _ in range(150)]
     cases += [_with_repeated_singulars(rng, gens) for gens in cases[-300:]]
-    kinds, skipped = set(), 0
+    cases += [_finite_orbit_gens(rng) for _ in range(40)]
+    kinds, closed, skipped = set(), set(), 0
     for budget in (Budget(8, 10 ** 6), Budget(8, 12)):
         for gens in cases:
             searches.clear()
             got = solve_mortality(gens, budget)
             want = _reference_mortality(list(gens), budget)
-            assert (got.kind, got.certificate, got.witness) == \
-                (want.kind, want.certificate, want.witness), (gens, budget)
             if got.is_yes:
                 assert replay(ProblemInstance(P.MORTALITY, gens),
                               got.witness)
+            if not searches:
+                # a closed-form shape (or an answer before any bracket):
+                # definitive, and equal to the reference where it is
+                assert got.definitive, (gens, budget)
+                if want.definitive:
+                    assert got.kind == want.kind, (gens, budget)
+                closed.add((got.kind, want.kind))
+                continue
+            assert (got.kind, got.certificate, got.witness) == \
+                (want.kind, want.certificate, want.witness), (gens, budget)
             # each (column, targets) pair is searched at most once
             assert len(searches) == len(set(searches))
             n = sum(g.det() == 0 for g in gens)
-            if not got.is_yes and not any(g.is_zero() for g in gens):
+            if not got.is_yes:
                 skipped += n * n - len(searches)
             kinds.add((budget.max_entry, got.kind))
     assert kinds == {(e, k) for e in (12, 10 ** 6)
                      for k in ("yes", "no", "unknown")}
+    assert {("yes", "yes"), ("no", "no"), ("yes", "unknown"),
+            ("no", "unknown")} <= closed
     assert skipped > 0
 
 
@@ -263,3 +296,125 @@ def test_orbit_answer_matches_shear_parametrization():
                     in_coset = True
                     assert sm == sb.at(n.m12)
             assert hits == in_coset, (sl, x, y, m)
+
+
+def _rand_sl(rng, accept, lo=-3, hi=3):
+    while True:
+        m = (rng.randint(lo, hi), rng.randint(lo, hi),
+             rng.randint(lo, hi), rng.randint(lo, hi))
+        if m[0] * m[3] - m[1] * m[2] == 1 and accept(m[0] + m[3]):
+            return m
+
+
+def _act(m, v):
+    return (m[0] * v[0] + m[1] * v[1], m[2] * v[0] + m[3] * v[1])
+
+
+def _brute_hits(mats, start, targets, depth=60):
+    """Does a product of at most `depth` of mats take start into
+    targets?  Breadth-first over vectors, no magnitude cap."""
+    seen, frontier = {start}, [start]
+    for _ in range(depth):
+        if seen & targets:
+            return True
+        nxt = []
+        for v in frontier:
+            for m in mats:
+                w = _act(m, v)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return bool(seen & targets)
+
+
+def test_closed_form_matches_brute_force_orbit():
+    # each shape the closed form takes, with small entries, against an
+    # uncapped breadth-first orbit of depth 60
+    rng = random.Random(45)
+    signs = [(1, 0, 0, 1), (-1, 0, 0, -1)]
+    seen = set()
+    for shape in ("none", "elliptic", "hyperbolic", "shears") * 400:
+        start, mats = _rand_primitive(rng), []
+        if shape == "shears":
+            # +-(I + k*N0) with N0 = u*(-u2, u1)^T, which kills u
+            u = _rand_primitive(rng)
+            n0 = (-u.v1 * u.v2, u.v1 * u.v1, -u.v2 * u.v2, u.v1 * u.v2)
+            ks = []
+            for _ in range(rng.randint(1, 3)):
+                e, k = rng.choice((1, -1)), rng.choice((-3, -2, -1, 1, 2, 3))
+                mats.append(tuple(e * (i + k * n) for i, n in
+                                  zip((1, 0, 0, 1), n0)))
+                ks.append(k)
+            if min(ks) < 0 < max(ks):
+                seen.add("mixed-sign k")
+            if rng.random() < 0.15:
+                start = u
+                seen.add("N0 x = 0")
+        elif shape != "none":
+            m = _rand_sl(rng, (lambda tr: abs(tr) < 2) if shape == "elliptic"
+                         else (lambda tr: abs(tr) >= 3))
+            seen.add((shape, m[0] + m[3]))
+            mats = [m] + ([tuple(-e for e in m)] if rng.random() < 0.2
+                          else [])
+        start = (start.v1, start.v2)
+        if rng.random() < 0.3:
+            mats.append(rng.choice(signs))
+            seen.add("+-I")
+        rng.shuffle(mats)
+        # a target on the orbit half the time
+        t = start
+        if rng.random() < 0.5:
+            for _ in range(rng.randint(0, 6) if mats else 0):
+                t = _act(rng.choice(mats), t)
+        else:
+            t = _rand_primitive(rng)
+            t = (t.v1, t.v2)
+        targets = frozenset({t, (-t[0], -t[1])})
+        if start in targets:
+            seen.add("start is a target")
+        solve = mortality._closed_form(mats)
+        assert solve is not None, mats
+        got = solve(start, targets)
+        assert got.definitive and got.certificate in (None, "structural")
+        assert got.is_yes == _brute_hits(mats, start, targets), \
+            (mats, start, targets)
+        if got.is_yes:
+            v = start
+            for j in reversed(got.witness):
+                v = _act(mats[j], v)
+            assert v in targets, (mats, start, targets, got.witness)
+            seen.add((shape, "yes"))
+    assert {"mixed-sign k", "N0 x = 0", "+-I", "start is a target",
+            ("none", "yes"),
+            ("elliptic", -1), ("elliptic", 0), ("elliptic", 1),
+            ("hyperbolic", 3), ("hyperbolic", -3), ("elliptic", "yes"),
+            ("hyperbolic", "yes"), ("shears", "yes")} <= seen
+
+
+def test_upper_triangular_mortality_is_never_unknown():
+    # every upper-triangular determinant-1 matrix is +-(1 b; 0 1): the
+    # middles are commuting shears, decided without the orbit search
+    rng = random.Random(46)
+    budget, prm = Budget(6, 10 ** 6), PrmBudget(1024, 10 ** 6)
+    kinds = set()
+    for _ in range(300):
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                s = rng.choice((1, -1))
+                gens.append(UTMat(s, rng.randint(-4, 4), s))
+            else:
+                a, c = rng.choice(((0, rng.randint(-2, 2)),
+                                   (rng.randint(-2, 2), 0)))
+                gens.append(UTMat(a, rng.randint(-3, 3), c))
+        inst = ProblemInstance(P.MORTALITY, tuple(gens))
+        got, route = dispatch(inst, "mortality", budget, prm)
+        assert route == "mortality" and got.definitive, gens
+        if got.is_yes:
+            assert replay(inst, got.witness), gens
+        want = oracle_solve(inst, budget)
+        if want.definitive:
+            assert got.kind == want.kind, gens
+        kinds.add((got.kind, want.kind))
+    assert {("yes", "yes"), ("no", "no"), ("no", "unknown")} <= kinds

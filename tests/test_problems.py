@@ -70,3 +70,9 @@ def test_disjunction_ordering():
     assert disjunction([no(), unknown()]).kind == "unknown"
     assert disjunction([no(), no()]).is_no
     assert disjunction([]).is_no
+    # the No is structural only when every No it combines is
+    structural = no("structural")
+    assert disjunction([structural, structural]).certificate == "structural"
+    assert disjunction([structural, no()]).certificate == "saturation"
+    assert disjunction([no(), no()]).certificate == "saturation"
+    assert disjunction([]).certificate == "structural"
