@@ -1,9 +1,8 @@
-"""Encodings of affine-function problems as matrix problems, and
+"""The matrix encoding of integer affine-function problems, and
 multi-subset-sum hardness-instance generators."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from . import problems as P
@@ -12,8 +11,9 @@ from .problems import ProblemInstance
 
 
 def encode_affine(inst: ProblemInstance) -> ProblemInstance:
-    """Translate an affine-tagged instance into the matching matrix
-    instance (membership, vector reachability, or zero-reachability)."""
+    """Translate an integer affine instance into the matching matrix
+    instance: x -> a*x + b is (a b; 0 1), and reachability from x to y
+    is vector reachability from (x, 1) to (y, 1)."""
     p = inst.problem
     if p == P.AFFINE_MEMBERSHIP_Z:
         return ProblemInstance(
@@ -25,17 +25,7 @@ def encode_affine(inst: ProblemInstance) -> ProblemInstance:
             P.VECTOR_REACHABILITY,
             tuple(f.matrix() for f in inst.generators),
             x=Vec2(inst.x, 1), y=Vec2(inst.y, 1))
-    if p == P.AFFINE_REACHABILITY_Q:
-        xf, yf = Fraction(inst.x), Fraction(inst.y)
-        if yf == 0:
-            raise ValueError("target value 0 has a degenerate row encoding")
-        # row (y2, -y1) annihilates exactly the multiples of (y1, y2)
-        return ProblemInstance(
-            P.ZERO_REACHABILITY,
-            tuple(f.matrix() for f in inst.generators),
-            x=Vec2(xf.numerator, xf.denominator),
-            y=Vec2(yf.denominator, -yf.numerator))
-    raise ValueError(f"not an affine-tagged instance: {p}")
+    raise ValueError(f"not an integer affine instance: {p}")
 
 
 GEN_HARD_VARIANTS = ("membership", "vector", "zero-reach", "det-minus-one",

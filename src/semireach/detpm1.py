@@ -11,6 +11,7 @@ from . import problems as P
 from .core import UTMat
 from .diophantine import (SemilinearSet, combo_value_set, coset_point,
                           coset_values, nonneg_combination, parity_coset)
+from .oracle import replay
 from .problems import ProblemInstance, Verdict, no, yes
 
 SIGN_STATES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -126,13 +127,6 @@ def realize_run(gens, s, t, b):
     return None
 
 
-def _word_product(gens, word) -> UTMat:
-    prod = UTMat.identity()
-    for i in word:
-        prod = prod * gens[i]
-    return prod
-
-
 def _check_dets(gens, allowed):
     for g in gens:
         if not isinstance(g, UTMat) or g.det() not in allowed:
@@ -158,7 +152,8 @@ def _sign_split(gens, constraints) -> Verdict:
             b = t * min(runs) if runs else None
         word = None if b is None else realize_run(gens, s, t, b)
         if word is not None:
-            assert _word_product(gens, word) == UTMat(s, b, t)
+            assert replay(ProblemInstance(P.MATRIX_MEMBERSHIP, gens,
+                                          target=UTMat(s, b, t)), word)
             return yes(word)
     return no("structural")
 

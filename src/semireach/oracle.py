@@ -3,26 +3,22 @@
 The ground-truth oracle for every problem kind.  Witnesses are canonical:
 shortest first, ties broken by lexicographically least index sequence.
 
-Search states are plain values: entry tuples for matrices, vectors and
-integer affine maps, and int or Fraction for affine reachability.
+Every search state is an int tuple: matrix entries, a vector, or a
+rational (num, den) in lowest terms with den > 0.  Integer affine maps
+x -> a*x + b act as their matrices (a b; 0 1) through encode_affine, so
+their states are (a, b, 1) and (x, 1).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from . import problems as P
+from .bridge import encode_affine
 from .core import Mat2, UTMat
 from .problems import Budget, ProblemInstance, Verdict, no, unknown, yes
-
-
-def _magnitude(state) -> int:
-    """Height of an int or Fraction state (tuple states use the largest
-    absolute entry, inlined in _search)."""
-    if isinstance(state, Fraction):
-        return max(abs(state.numerator), state.denominator)
-    return abs(state)
 
 
 def _pairs(frontier, js, mode: str):
@@ -49,7 +45,6 @@ def _search(start, gens, step, hit, budget: Budget, mode: str) -> Verdict:
     if hit(start):
         return yes(())
     cap = budget.max_entry
-    tuples = isinstance(start, tuple)
     js = range(len(gens))
     parent = {start: None}
     frontier = [start]
@@ -60,8 +55,7 @@ def _search(start, gens, step, hit, budget: Budget, mode: str) -> Verdict:
             t = step(s, j)
             if t in parent:
                 continue
-            if cap is not None and \
-                    (max(map(abs, t)) if tuples else _magnitude(t)) > cap:
+            if cap is not None and max(map(abs, t)) > cap:
                 pruned = True
                 continue
             parent[t] = s
@@ -76,8 +70,7 @@ def _search(start, gens, step, hit, budget: Budget, mode: str) -> Verdict:
     for s, j in _pairs(frontier, js, mode):
         t = step(s, j)
         if hit(t):
-            if cap is not None and \
-                    (max(map(abs, t)) if tuples else _magnitude(t)) > cap:
+            if cap is not None and max(map(abs, t)) > cap:
                 pruned = True
                 continue
             parent[t] = s
@@ -122,32 +115,21 @@ def _action(inst: ProblemInstance):
     whether a state answers the question, and mode says which side of
     the witness a step adds to (see _search).
     """
+    if inst.problem in (P.AFFINE_MEMBERSHIP_Z, P.AFFINE_REACHABILITY_Z):
+        inst = encode_affine(inst)
     p = inst.problem
-    if p == P.AFFINE_MEMBERSHIP_Z:
-        maps = [(f.a, f.b) for f in inst.generators]
-        target = (inst.target.a, inst.target.b)
-
-        def step(s, j):  # s after maps[j]
-            a, b = s
-            c, d = maps[j]
-            return (a * c, a * d + b)
-        return (1, 0), maps, step, lambda s: s == target, "append"
-    if p in (P.AFFINE_REACHABILITY_Z, P.AFFINE_REACHABILITY_Q):
+    if p == P.AFFINE_REACHABILITY_Q:
         maps = [(f.a, f.b, f.c) for f in inst.generators]
-        if p == P.AFFINE_REACHABILITY_Z:
-            start, y = inst.x, inst.y
 
-            def step(x, j):
-                a, b, _ = maps[j]
-                return a * x + b
-        else:
-            start, y = Fraction(inst.x), Fraction(inst.y)
-
-            def step(q, j):  # (a*q + b) / c
-                a, b, c = maps[j]
-                d = q.denominator
-                return Fraction(a * q.numerator + b * d, c * d)
-        return start, maps, step, lambda s: s == y, "prepend"
+        def step(s, j):  # (a*n/d + b) / c in lowest terms, den > 0
+            n, d = s
+            a, b, c = maps[j]
+            n, d = a * n + b * d, c * d
+            g = gcd(n, d) if d > 0 else -gcd(n, d)
+            return (n // g, d // g)
+        target = Fraction(inst.y).as_integer_ratio()
+        return (Fraction(inst.x).as_integer_ratio(), maps, step,
+                lambda s: s == target, "prepend")
     # matrices in one common kind: (a, b, c) when all are upper
     # triangular, else (m11, m12, m21, m22)
     ut = all(isinstance(m, UTMat) for m in inst.generators) and \

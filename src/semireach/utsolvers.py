@@ -10,10 +10,10 @@ from typing import Optional
 
 from . import problems as P
 from .core import UTMat, Vec2
-from .detpm1 import _word_product, realize_run, value_set
+from .detpm1 import realize_run, value_set
 from .diophantine import SemilinearSet, nonneg_combination, sum_union
 from .machines import Prm, PrmBudget, reach_prm
-from .oracle import oracle_solve
+from .oracle import oracle_solve, replay
 from .problems import Budget, ProblemInstance, Verdict, disjunction, no, yes
 
 
@@ -185,7 +185,8 @@ def _read_word(gens, seg, into, sets, node, b) -> list:
         else:
             raise AssertionError(f"no edge into {node} explains {b}")
         node, b = src, y
-    assert _word_product(gens, word) == want
+    assert replay(ProblemInstance(P.MATRIX_MEMBERSHIP, gens, target=want),
+                  word)
     return word
 
 
@@ -193,7 +194,7 @@ def _read_word(gens, seg, into, sets, node, b) -> list:
 # Vector reachability for bottom-right nonzero generators
 
 
-def _lattice_prm(gens, x2, y2, flagged):
+def _lattice_prm(gens, x2, y2, words, flagged):
     """The register machine over the divisor lattice: states (f, v2) pair
     the second-component values v2 with x2 ->* v2 ->* y2 under
     multiplication by bottom-right entries with a seen-a-top-left-zero bit
@@ -201,11 +202,11 @@ def _lattice_prm(gens, x2, y2, flagged):
     generator moving v2 -> c*v2.  The values are x2*d for the products d
     of bottom-right entries dividing y2/x2 whose cofactor is one too:
     values that cannot reach y2 are left out, since the monotone windows
-    of reach_prm do not drop them for slopes <= -1.  Returns (machine,
+    of reach_prm do not drop them for slopes <= -1.  words is
+    _diag_words of the bottom-right entries and y2/x2.  Returns (machine,
     transition index -> generator index).
     """
     ratio = y2 // x2
-    words = _diag_words([g.c for g in gens], ratio)
     alphas = {x2 * d for d in words if ratio // d in words}
     states = [(f, v2) for f in ((0, 1) if flagged else (0,))
               for v2 in sorted(alphas)]
@@ -313,11 +314,12 @@ def _vecreach_nonzero(gens, x, y, budget, flagged) -> Verdict:
     if flagged and not any(g.a == 0 for g in gens):
         return no("structural")
     ratio = y.v2 // x.v2
-    if _diag_product_word([g.c for g in gens], ratio) is None:
+    words = _diag_words([g.c for g in gens], ratio)
+    if ratio not in words:
         return no("structural")  # no product has this bottom-right
     if all(abs(g.a) == 1 for g in gens if abs(g.c) == 1):
         return _live_search(gens, x, y, budget, flagged)
-    prm, origin = _lattice_prm(gens, x.v2, y.v2, flagged)
+    prm, origin = _lattice_prm(gens, x.v2, y.v2, words, flagged)
     v = reach_prm(prm, ((0, x.v2), x.v1), ((int(flagged), y.v2), y.v1),
                   budget)
     if v.is_yes:

@@ -4,14 +4,12 @@ single PASS/FAIL line."""
 import itertools
 import json
 import random
-from fractions import Fraction
 from math import gcd
 
 from click.testing import CliRunner
 
 from semireach import problems as P
-from semireach.bridge import (GEN_HARD_VARIANTS, encode_affine, gen_hard,
-                              subset_sum_dp)
+from semireach.bridge import GEN_HARD_VARIANTS, gen_hard, subset_sum_dp
 from semireach.cli import dispatch, main, random_instance, replay_instance
 from semireach.core import AffineMap, Mat2, UTMat, Vec2
 from semireach.detpm1 import solve_detpm1
@@ -22,6 +20,7 @@ from semireach.mortality import solve_mortality, stabilizer_basis
 from semireach.oracle import oracle_solve, replay
 from semireach.problems import Budget, ProblemInstance, disjunction
 from semireach.utsolvers import reduce_membership_to_scalar
+from test_oracle import _reference_action, _reference_search
 
 B8 = Budget(8, 10 ** 6)
 PB = PrmBudget(4096, 10 ** 9)
@@ -313,34 +312,24 @@ def test_criterion_10_reduction_equivalences():
     small = Budget(6, 10 ** 4)
     rng = random.Random(50)
 
-    # affine problems vs their matrix encodings
+    # integer affine problems, which the oracle runs as their matrix
+    # encodings, vs a search that composes and applies the maps
     for _ in range(120):
-        kind = rng.choice((P.AFFINE_MEMBERSHIP_Z, P.AFFINE_REACHABILITY_Z,
-                           P.AFFINE_REACHABILITY_Q))
-        domain = "Q" if kind == P.AFFINE_REACHABILITY_Q else "Z"
+        kind = rng.choice((P.AFFINE_MEMBERSHIP_Z, P.AFFINE_REACHABILITY_Z))
         k = rng.randint(0, 2)
-        if domain == "Z":
-            gens = tuple(AffineMap(rng.randint(-2, 2), rng.randint(-2, 2))
-                         for _ in range(k))
-        else:
-            gens = tuple(AffineMap.make(rng.randint(-2, 2),
-                                        rng.randint(-2, 2),
-                                        rng.choice((1, 2)), "Q")
-                         for _ in range(k))
+        gens = tuple(AffineMap(rng.randint(-2, 2), rng.randint(-2, 2))
+                     for _ in range(k))
         if kind == P.AFFINE_MEMBERSHIP_Z:
             inst = ProblemInstance(kind, gens, target=AffineMap(
                 rng.randint(-3, 3), rng.randint(-3, 3)))
-        elif kind == P.AFFINE_REACHABILITY_Z:
+        else:
             inst = ProblemInstance(kind, gens, x=rng.randint(-3, 3),
                                    y=rng.randint(-5, 5))
-        else:
-            y = Fraction(rng.randint(-5, 5), rng.choice((1, 2)))
-            if y == 0:
-                continue
-            inst = ProblemInstance(kind, gens, x=Fraction(rng.randint(-3, 3)),
-                                   y=y)
-        if not _agree(oracle_solve(inst, small),
-                      oracle_solve(encode_affine(inst), small)):
+        start, maps, step, hit, mode = _reference_action(inst)
+        want = _reference_search(start, maps, step, hit, small, mode)
+        got = oracle_solve(inst, small)
+        if (got.kind, got.certificate, got.witness) != \
+                (want.kind, want.certificate, want.witness):
             ok = False
 
     # zero-diagonal membership vs the scalar-reachability case split

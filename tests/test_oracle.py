@@ -305,3 +305,34 @@ def test_search_matches_reference_at_every_depth():
                 assert (got.kind, got.certificate, got.witness) == \
                     (want.kind, want.certificate, want.witness), \
                     (inst, budget)
+
+
+def test_rational_states_match_fraction_reference():
+    # maps built without AffineMap.make keep a negative or unreduced
+    # denominator; the reduced (num, den) states must still search as the
+    # Fraction ones do, from a start of 0 and through steps that land on 0
+    growing = (AffineMap(1, 0, -2, "Q"),     # x -> -x/2, fixes 0
+               AffineMap(2, -2, 4, "Q"),     # x -> (x - 1)/2, 1 -> 0
+               AffineMap(-3, 3, -1, "Q"))    # x -> 3x - 3, 1 -> 0
+    finite = (AffineMap(0, 2, -4, "Q"),      # x -> -1/2
+              AffineMap(-1, 0, 1, "Q"),      # x -> -x
+              AffineMap(0, 0, -3, "Q"))      # x -> 0
+    budgets = [Budget(n, cap) for n in (1, 2, 4, 6) for cap in (1, 2, 3, None)]
+    seen = Counter()
+    for gens in (growing, finite):
+        for x in (0, 1, Fraction(-1, 2)):
+            for y in (0, 1, -1, Fraction(1, 2), Fraction(-1, 4), 2):
+                inst = ProblemInstance(P.AFFINE_REACHABILITY_Q, gens,
+                                       x=Fraction(x), y=Fraction(y))
+                start, maps, step, hit, mode = _reference_action(inst)
+                for budget in budgets:
+                    want = _reference_search(start, maps, step, hit, budget,
+                                             mode)
+                    got = oracle_solve(inst, budget)
+                    assert (got.kind, got.certificate, got.witness) == \
+                        (want.kind, want.certificate, want.witness), \
+                        (inst, budget)
+                    if got.is_yes:
+                        assert replay(inst, got.witness)
+                    seen[got.kind] += 1
+    assert set(seen) == {"yes", "no", "unknown"}

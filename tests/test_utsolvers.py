@@ -668,7 +668,8 @@ def test_lattice_machine():
         # mostly a product of bottom-right entries, sometimes any multiple
         cs = [g.c for g in gens] if i % 4 < 3 else [-6, -3, 2, 4, 8]
         y2 = x2 * math.prod(rng.choice(cs) for _ in range(rng.randint(0, 5)))
-        prm, origin = _lattice_prm(gens, x2, y2, flagged)
+        words = _diag_words([g.c for g in gens], y2 // x2)
+        prm, origin = _lattice_prm(gens, x2, y2, words, flagged)
         want = _lattice_brute([g.c for g in gens], x2, y2)
         flags = (0, 1) if flagged else (0,)
         assert set(prm.states) == {(f, v) for f in flags for v in want}
