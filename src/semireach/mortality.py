@@ -70,7 +70,8 @@ def _orbit_search(mats, start: tuple, targets: frozenset,
     """Canonical search for a product of the determinant-1 generators,
     given as (m11, m12, m21, m22) tuples, taking the (v1, v2) tuple
     start into the target set; the witness is in product order and
-    indexes mats."""
+    indexes mats.  The last level looks up each generator's inverse
+    (d -b; -c a) applied to the targets."""
 
     def step(v, j):
         a, b, c, d = mats[j]
@@ -80,8 +81,12 @@ def _orbit_search(mats, start: tuple, targets: frozenset,
         assert gcd(*t) == 1
         return t
 
-    return _search(start, mats, step, targets.__contains__, budget,
-                   "prepend")
+    def preimage(j):
+        a, b, c, d = mats[j]
+        return tuple((d * t1 - b * t2, a * t2 - c * t1) for t1, t2 in targets)
+
+    return _search(start, mats, step, targets.__contains__, preimage,
+                   budget, "prepend")
 
 
 def _shear(m):

@@ -28,7 +28,8 @@ def _pairs(frontier, js, mode: str):
     return ((s, j) for j, s in product(js, frontier))
 
 
-def _search(start, gens, step, hit, budget: Budget, mode: str) -> Verdict:
+def _search(start, gens, step, hit, preimage, budget: Budget,
+            mode: str) -> Verdict:
     """Canonical-witness BFS.
 
     mode "append": step j extends the witness on the right (matrix states).
@@ -38,9 +39,15 @@ def _search(start, gens, step, hit, budget: Budget, mode: str) -> Verdict:
     for any state is the canonical one.  parent[t] is the state t was first
     reached from; the witness is rebuilt from these links on a Yes.
 
-    Only states of depth below max_len are stored.  The candidates at
-    depth max_len are never expanded, so they are only tested: for a hit,
-    and for novelty, which decides between No by saturation and Unknown.
+    Only states of depth below max_len are stored.  At depth max_len the
+    candidates are not all stepped: preimage(j) (see _action) gives the
+    states generator j moves into the hit set, looked up in parent, or a
+    test run over the frontier.  A looked-up state whose image fits the
+    cap is on the frontier, since a shallower one would have answered
+    Yes a level earlier.  The first hit in witness order wins: (frontier
+    position, j) in append mode, (j, frontier position) in prepend mode.
+    Without a hit, the answer is No by saturation only when nothing was
+    pruned and no candidate is new to parent.
     """
     if hit(start):
         return yes(())
@@ -65,19 +72,41 @@ def _search(start, gens, step, hit, budget: Budget, mode: str) -> Verdict:
         if not nxt:
             return unknown() if pruned else no("saturation")
         frontier = nxt
-    # depth max_len: every stored state failed hit, so a hit is new
-    fresh = False
-    for s, j in _pairs(frontier, js, mode):
-        t = step(s, j)
-        if hit(t):
-            if cap is not None and max(map(abs, t)) > cap:
-                pruned = True
-                continue
-            parent[t] = s
-            return yes(_word(parent, t, step, js, mode))
-        if not fresh and t not in parent:
-            fresh = True
-    return unknown() if pruned or fresh else no("saturation")
+
+    win, limit = None, len(frontier)
+    for j in js:
+        pre = preimage(j)
+        if isinstance(pre, tuple):
+            for s in pre:
+                if s in parent and _fits(step(s, j), cap):
+                    i = frontier.index(s)
+                    if i < limit:
+                        win, limit = j, i
+        else:
+            for i in range(limit):
+                s = frontier[i]
+                if (pre(s) if pre else hit(step(s, j))) and \
+                        _fits(step(s, j), cap):
+                    win, limit = j, i
+                    break
+        if win is not None and mode == "prepend":
+            break
+    if win is not None:
+        s = frontier[limit]
+        t = step(s, win)
+        parent[t] = s
+        return yes(_word(parent, t, step, js, mode))
+    if not pruned:
+        for s, j in product(frontier, js):
+            if step(s, j) not in parent:
+                break
+        else:
+            return no("saturation")
+    return unknown()
+
+
+def _fits(t, cap) -> bool:
+    return cap is None or max(map(abs, t)) <= cap
 
 
 def _word(parent, t, step, js, mode: str) -> tuple:
@@ -109,11 +138,27 @@ def _entries(m, ut: bool) -> tuple:
     return (m.m11, m.m12, m.m21, m.m22)
 
 
+def _square(e: tuple) -> tuple:
+    """(m11, m12, m21, m22) of an (a, b, c) or (m11, m12, m21, m22) tuple."""
+    return e if len(e) == 4 else (e[0], e[1], 0, e[2])
+
+
 def _action(inst: ProblemInstance):
-    """(start, generators, step, hit, mode) of the monoid action that
-    decides inst: step(s, j) moves state s by generator j, hit says
+    """(start, generators, step, hit, preimage, mode) of the monoid action
+    that decides inst: step(s, j) moves state s by generator j, hit says
     whether a state answers the question, and mode says which side of
     the witness a step adds to (see _search).
+
+    preimage(j) tells _search's last level which states generator j, g,
+    moves into the hit set:
+    - a tuple of the one such state when the hit set is one state and g
+      inverts, found by exact division; () when it does not divide;
+    - for the zero matrix and a singular g = u*w^T, the test s*u == 0,
+      u a nonzero column of g (0 when g is 0);
+    - for scalar and zero reachability, the test (y^T g)*v == lam;
+    - None when there is no formula: _search then steps each candidate.
+    It captures nothing that step and hit do not, so replay pays only
+    for defining it.
     """
     if inst.problem in (P.AFFINE_MEMBERSHIP_Z, P.AFFINE_REACHABILITY_Z):
         inst = encode_affine(inst)
@@ -128,8 +173,16 @@ def _action(inst: ProblemInstance):
             g = gcd(n, d) if d > 0 else -gcd(n, d)
             return (n // g, d // g)
         target = Fraction(inst.y).as_integer_ratio()
+
+        def preimage(j):  # x = (c*y - b) / a
+            a, b, c = maps[j]
+            if not a:
+                return None
+            n, d = c * target[0] - b * target[1], a * target[1]
+            g = gcd(n, d) if d > 0 else -gcd(n, d)
+            return ((n // g, d // g),)
         return (Fraction(inst.x).as_integer_ratio(), maps, step,
-                lambda s: s == target, "prepend")
+                target.__eq__, preimage, "prepend")
     # matrices in one common kind: (a, b, c) when all are upper
     # triangular, else (m11, m12, m21, m22)
     ut = all(isinstance(m, UTMat) for m in inst.generators) and \
@@ -137,25 +190,52 @@ def _action(inst: ProblemInstance):
     gens = [_entries(m, ut) for m in inst.generators]
     if p in (P.MATRIX_MEMBERSHIP, P.MORTALITY):
         if p == P.MORTALITY:
-            def hit(s) -> bool:
-                return not any(s)
+            target = (0, 0, 0) if ut else (0, 0, 0, 0)
         else:
             target = _entries(inst.target, ut)
-
-            def hit(s) -> bool:
-                return s == target
+        hit = target.__eq__
         if ut:
             def step(s, j):
                 a, b, c = s
                 x, y, z = gens[j]
                 return (a * x, a * y + b * z, c * z)
-            return (1, 0, 1), gens, step, hit, "append"
+
+            def preimage(j):
+                x, y, z = gens[j]
+                if x and z:  # target * g^-1
+                    a, ra = divmod(target[0], x)
+                    c, rc = divmod(target[2], z)
+                    b, rb = divmod(target[1] - a * y, z)
+                    return () if ra or rb or rc else ((a, b, c),)
+                if any(target):
+                    return None
+                u1, u2 = (x, 0) if x else (y, z)
+                return lambda s: not (s[0] * u1 + s[1] * u2 or s[2] * u2)
+            return (1, 0, 1), gens, step, hit, preimage, "append"
 
         def step(s, j):
             a, b, c, d = s
             e, f, g, h = gens[j]
             return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-        return (1, 0, 0, 1), gens, step, hit, "append"
+
+        def preimage(j):
+            e, f, g, h = gens[j]
+            det = e * h - f * g
+            if det:  # target * adj(g) / det
+                t11, t12, t21, t22 = target
+                s11, r11 = divmod(t11 * h - t12 * g, det)
+                s12, r12 = divmod(t12 * e - t11 * f, det)
+                s21, r21 = divmod(t21 * h - t22 * g, det)
+                s22, r22 = divmod(t22 * e - t21 * f, det)
+                if r11 or r12 or r21 or r22:
+                    return ()
+                return ((s11, s12, s21, s22),)
+            if any(target):
+                return None
+            u1, u2 = (e, g) if e or g else (f, h)
+            return lambda s: not (s[0] * u1 + s[1] * u2 or
+                                  s[2] * u1 + s[3] * u2)
+        return (1, 0, 0, 1), gens, step, hit, preimage, "append"
     if ut:
         def step(v, j):
             v1, v2 = v
@@ -169,16 +249,28 @@ def _action(inst: ProblemInstance):
     x, y = inst.x, inst.y
     if p == P.VECTOR_REACHABILITY:
         target = (y.v1, y.v2)
+        hit = target.__eq__
 
-        def hit(v) -> bool:
-            return v == target
+        def preimage(j):
+            a, b, c, d = _square(gens[j])
+            det = a * d - b * c
+            if not det:
+                return None
+            v1, r1 = divmod(d * target[0] - b * target[1], det)
+            v2, r2 = divmod(a * target[1] - c * target[0], det)
+            return () if r1 or r2 else ((v1, v2),)
     else:  # scalar or zero reachability
         lam = 0 if p == P.ZERO_REACHABILITY else inst.lam
         y1, y2 = y.v1, y.v2
 
         def hit(v) -> bool:
             return y1 * v[0] + y2 * v[1] == lam
-    return (x.v1, x.v2), gens, step, hit, "prepend"
+
+        def preimage(j):
+            a, b, c, d = _square(gens[j])
+            w1, w2 = y1 * a + y2 * c, y1 * b + y2 * d
+            return lambda v: w1 * v[0] + w2 * v[1] == lam
+    return (x.v1, x.v2), gens, step, hit, preimage, "prepend"
 
 
 def oracle_solve(inst: ProblemInstance, budget: Budget) -> Verdict:
@@ -189,13 +281,13 @@ def oracle_solve(inst: ProblemInstance, budget: Budget) -> Verdict:
     max_len adds nothing new) with no magnitude pruning; everything else
     is Unknown.
     """
-    start, gens, step, hit, mode = _action(inst)
-    return _search(start, gens, step, hit, budget, mode)
+    start, gens, step, hit, preimage, mode = _action(inst)
+    return _search(start, gens, step, hit, preimage, budget, mode)
 
 
 def replay(inst: ProblemInstance, witness) -> bool:
     """Check that a witness replays exactly to the claimed fact."""
-    start, gens, step, hit, mode = _action(inst)
+    start, gens, step, hit, _, mode = _action(inst)
     idx = list(witness)
     if any(not 0 <= i < len(gens) for i in idx):
         return False

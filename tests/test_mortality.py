@@ -251,6 +251,62 @@ def test_orbit_search_matches_vec2_reference(monkeypatch):
     assert skipped > 0
 
 
+def _first_depths(mats, start, max_len):
+    """The depth at which each state of the orbit of start is first
+    reached, up to max_len."""
+    depth, level = {start: 0}, [start]
+    for d in range(1, max_len + 1):
+        level = [t for t in {m.apply(v) for m in mats for v in level}
+                 if t not in depth]
+        depth.update((t, d) for t in level)
+    return depth
+
+
+def test_orbit_search_matches_vec2_reference_at_every_depth():
+    # the orbit search's last level looks up the generators' inverses
+    # applied to both targets; compare at every max_len, with and
+    # without a cap, on determinant-1 sets that do not commute.  A
+    # negated copy of a generator sends a state to both targets at once.
+    rng = random.Random(46)
+    both = 0
+    for _ in range(120):
+        while True:
+            mats = []
+            while len(mats) < rng.randint(2, 3):
+                m = Mat2(*(rng.randint(-2, 2) for _ in range(4)))
+                if m.det() == 1:
+                    mats.append(m)
+            if any(a * b != b * a for a in mats for b in mats):
+                break
+        if rng.random() < 0.5:
+            m = rng.choice(mats)
+            mats.insert(rng.randrange(len(mats) + 1),
+                        Mat2(-m.m11, -m.m12, -m.m21, -m.m22))
+        start, row = _rand_primitive(rng), _rand_primitive(rng)
+        targets = (Vec2(-row.v2, row.v1), Vec2(row.v2, -row.v1))
+        if rng.random() < 0.5:
+            # a target in the orbit, so that some depth hits
+            v = start
+            for _ in range(rng.randint(1, 6)):
+                v = rng.choice(mats).apply(v)
+            targets = (v, Vec2(-v.v1, -v.v2))
+        depth = _first_depths(mats, start, 8)
+        both += targets[0] in depth and \
+            depth[targets[0]] == depth.get(targets[1])
+        entries = [(m.m11, m.m12, m.m21, m.m22) for m in mats]
+        keys = frozenset((t.v1, t.v2) for t in targets)
+        for cap in (12, None):
+            for max_len in range(1, 9):
+                budget = Budget(max_len, cap)
+                got = mortality._orbit_search(entries, (start.v1, start.v2),
+                                              keys, budget)
+                want = _reference_orbit_search(mats, start, targets, budget)
+                assert (got.kind, got.certificate, got.witness) == \
+                    (want.kind, want.certificate, want.witness), \
+                    (mats, start, targets, budget)
+    assert both >= 10
+
+
 def _inv_sl(m: Mat2) -> Mat2:
     assert m.det() == 1
     return Mat2(m.m22, -m.m12, -m.m21, m.m11)

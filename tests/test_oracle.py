@@ -307,6 +307,92 @@ def test_search_matches_reference_at_every_depth():
                     (inst, budget)
 
 
+def test_last_level_preimages():
+    # one case of each hit-set shape the last level looks up, each at
+    # depth max_len; want is the exact witness, or None for Unknown
+    def member(gens, target):
+        return ProblemInstance(P.MATRIX_MEMBERSHIP, gens, target=target)
+
+    def vector(gens, x, y):
+        return ProblemInstance(P.VECTOR_REACHABILITY, gens, x=Vec2(*x),
+                               y=Vec2(*y))
+
+    def rational(gens, x, y):
+        return ProblemInstance(P.AFFINE_REACHABILITY_Q,
+                               [AffineMap.make(*g, "Q") for g in gens],
+                               x=Fraction(x), y=Fraction(y))
+    u, m = UTMat, Mat2
+    cases = [
+        # invertible generators: the one state found by exact division,
+        # for every state kind
+        (member((u(1, 1, 1), u(2, 0, 1)), u(2, 3, 1)), 3, None, (0, 1, 0)),
+        (member((m(1, 1, 0, 1), m(1, 0, 1, 1)), m(2, 3, 1, 2)), 3, None,
+         (0, 1, 0)),
+        (vector((u(1, 1, 1), u(2, 0, -1)), (1, 1), (6, -1)), 3, None,
+         (1, 0, 0)),
+        (vector((m(1, 1, 0, 1), m(1, 0, 1, 1)), (1, 0), (3, 2)), 3, None,
+         (0, 1, 1)),
+        (rational(((1, 1, 2), (3, 0, 1)), 0, Fraction(9, 4)), 3, None,
+         (1, 0, 0)),
+        (ProblemInstance(P.AFFINE_MEMBERSHIP_Z,
+                         (AffineMap(2, 1), AffineMap(1, 3)),
+                         target=AffineMap(4, 9)), 3, None, (0, 1, 0)),
+        # preimages that are not integral: 3/2 alone, then beside a hit
+        # by the other generator
+        (member((u(2, 0, 1),), u(3, 0, 1)), 2, None, None),
+        (vector((m(2, 0, 0, 1), m(1, 1, 0, 1)), (1, 1), (3, 1)), 2, None,
+         (1, 0)),
+        # singular generators hitting: the rank-1 test for general
+        # mortality (u the first column, then the second when the first
+        # is 0) and upper-triangular mortality (u = (x, 0), and x = z =
+        # 0), then the step-and-hit scan for membership with x*z = 0, a
+        # singular general vector generator and a constant rational map
+        (ProblemInstance(P.MORTALITY, (m(0, -1, 1, 1), m(0, 0, -2, -2))),
+         3, None, (1, 0, 1)),
+        (ProblemInstance(P.MORTALITY, (m(0, 1, -1, 1), m(0, -1, 0, -1))),
+         3, None, (1, 0, 1)),
+        (ProblemInstance(P.MORTALITY, (u(1, 1, 1), u(0, 1, 1), u(1, 1, 0))),
+         2, None, (1, 2)),
+        (ProblemInstance(P.MORTALITY, (u(1, 1, 1), u(0, 2, 0))), 2, None,
+         (1, 1)),
+        (member((u(1, 1, 1), u(0, 1, 1)), u(0, 3, 1)), 3, None, (0, 0, 1)),
+        (vector((u(1, 1, 1), m(1, 1, 1, 1)), (1, 0), (3, 3)), 3, None,
+         (1, 0, 1)),
+        (rational(((1, 1, 1), (0, 1, 2)), 0, Fraction(1, 2)), 1, None,
+         (1,)),
+        # scalar and zero lines, (y^T g) v = lam
+        (ProblemInstance(P.SCALAR_REACHABILITY, (u(1, 1, 1), u(1, 0, 2)),
+                         x=Vec2(0, 1), y=Vec2(1, 0), lam=3), 3, None,
+         (0, 0, 0)),
+        (ProblemInstance(P.ZERO_REACHABILITY,
+                         (m(1, 1, 0, 1), m(1, 0, -1, 1)),
+                         x=Vec2(-3, 1), y=Vec2(1, 0)), 3, None, (0, 0, 0)),
+        # hits over the cap: the looked-up state is shallower than the
+        # frontier, then on it
+        (member((u(1, 1, 1), u(1, 100, 1)), u(1, 100, 1)), 3, 50, None),
+        (member((u(2, 0, 1),), u(8, 0, 1)), 3, 7, None),
+    ]
+    # two last-level hits, (frontier position 1, generator 0) and
+    # (position 0, generator 1): append order takes the second, prepend
+    # order the first, and both read as the word (0, 1)
+    for inst in (member((u(1, 1, 1), u(1, 2, 1)), u(1, 3, 1)),
+                 vector((u(1, 1, 1), u(1, 2, 1)), (0, 1), (3, 1))):
+        assert replay(inst, (1, 0))
+        cases.append((inst, 2, None, (0, 1)))
+    for inst, max_len, cap, want in cases:
+        budget = Budget(max_len, cap)
+        start, gens, step, hit, mode = _reference_action(inst)
+        ref = _reference_search(start, gens, step, hit, budget, mode)
+        got = oracle_solve(inst, budget)
+        assert (got.kind, got.certificate, got.witness) == \
+            (ref.kind, ref.certificate, ref.witness), (inst, budget)
+        if want is None:
+            assert got.kind == "unknown", inst
+        else:
+            assert got.witness == want and len(want) == max_len, inst
+            assert replay(inst, want)
+
+
 def test_rational_states_match_fraction_reference():
     # maps built without AffineMap.make keep a negative or unreduced
     # denominator; the reduced (num, den) states must still search as the
