@@ -317,9 +317,6 @@ class SemilinearSet:
     def singleton(v: int) -> "SemilinearSet":
         return SemilinearSet(((v, 0),))
 
-    def is_empty(self) -> bool:
-        return not self.components
-
     def member(self, t: int) -> bool:
         for b, s in self.components:
             d = t - b

@@ -295,11 +295,6 @@ class ReductionParams:
         return ReductionParams(b, j, B, 2 * B + 1)
 
 
-def digit_guess_value(i: int, c: int, K: int) -> int:
-    """(K+1)*c - i*K: the register after one simulated guess of i."""
-    return (K + 1) * c - i * K
-
-
 @dataclass(frozen=True)
 class ReducedArm:
     machine: Prm

@@ -9,42 +9,13 @@ shears and for a single generator, and by a budgeted search otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from math import gcd
 
-from .core import Mat2, Vec2, primitive, xgcd
+from .core import Mat2, Vec2, primitive
 from .diophantine import nonneg_combination
-from .oracle import _as_mat2, _entries, _search
+from .oracle import _as_mat2, _entries, _search, _solve2
 from .problems import Budget, Verdict, disjunction, no, yes
-
-
-@dataclass(frozen=True)
-class StabilizerBasis:
-    """Change of basis reducing M*x = y over determinant-1 matrices to
-    membership in the cyclic group of shears: M*x = y holds iff
-    M = B * (1 1; 0 1)^k * C for some integer k."""
-
-    B: Mat2
-    C: Mat2
-
-    def at(self, k: int) -> Mat2:
-        return self.B * Mat2(1, k, 0, 1) * self.C
-
-
-def stabilizer_basis(x: Vec2, y: Vec2) -> StabilizerBasis:
-    """Determinant-1 matrices with C*x = (1,0) and B*(1,0) = y, for
-    primitive x and y."""
-    for name, v in (("x", x), ("y", y)):
-        if v.is_zero() or gcd(v.v1, v.v2) != 1:
-            raise ValueError(f"{name} must be primitive")
-    u, v, _ = xgcd(x.v1, x.v2)
-    c = Mat2(u, v, -x.v2, x.v1)
-    up, vp, _ = xgcd(y.v1, y.v2)
-    b = Mat2(y.v1, -vp, y.v2, up)
-    assert c.det() == 1 and b.det() == 1
-    assert c.apply(x) == Vec2(1, 0) and b.apply(Vec2(1, 0)) == y
-    return StabilizerBasis(B=b, C=c)
 
 
 def _first_column(m: Mat2) -> tuple[int, int]:
@@ -70,8 +41,8 @@ def _orbit_search(mats, start: tuple, targets: frozenset,
     """Canonical search for a product of the determinant-1 generators,
     given as (m11, m12, m21, m22) tuples, taking the (v1, v2) tuple
     start into the target set; the witness is in product order and
-    indexes mats.  The last level looks up each generator's inverse
-    (d -b; -c a) applied to the targets."""
+    indexes mats.  The last level looks up each target's preimage under
+    each generator."""
 
     def step(v, j):
         a, b, c, d = mats[j]
@@ -82,8 +53,7 @@ def _orbit_search(mats, start: tuple, targets: frozenset,
         return t
 
     def preimage(j):
-        a, b, c, d = mats[j]
-        return tuple((d * t1 - b * t2, a * t2 - c * t1) for t1, t2 in targets)
+        return tuple(v for t in targets for v in _solve2(mats[j], t))
 
     return _search(start, mats, step, targets.__contains__, preimage,
                    budget, "prepend")

@@ -143,6 +143,16 @@ def _square(e: tuple) -> tuple:
     return e if len(e) == 4 else (e[0], e[1], 0, e[2])
 
 
+def _solve2(m: tuple, t: tuple) -> tuple:
+    """((v1, v2),) for the integer v with m*v == t, or () when v is not
+    integral; m is (m11, m12, m21, m22) with a nonzero determinant."""
+    a, b, c, d = m
+    det = a * d - b * c
+    v1, r1 = divmod(d * t[0] - b * t[1], det)
+    v2, r2 = divmod(a * t[1] - c * t[0], det)
+    return () if r1 or r2 else ((v1, v2),)
+
+
 def _action(inst: ProblemInstance):
     """(start, generators, step, hit, preimage, mode) of the monoid action
     that decides inst: step(s, j) moves state s by generator j, hit says
@@ -152,7 +162,7 @@ def _action(inst: ProblemInstance):
     preimage(j) tells _search's last level which states generator j, g,
     moves into the hit set:
     - a tuple of the one such state when the hit set is one state and g
-      inverts, found by exact division; () when it does not divide;
+      inverts, found by _solve2; () when it does not divide;
     - for the zero matrix and a singular g = u*w^T, the test s*u == 0,
       u a nonzero column of g (0 when g is 0);
     - for scalar and zero reachability, the test (y^T g)*v == lam;
@@ -200,42 +210,31 @@ def _action(inst: ProblemInstance):
                 x, y, z = gens[j]
                 return (a * x, a * y + b * z, c * z)
 
-            def preimage(j):
-                x, y, z = gens[j]
-                if x and z:  # target * g^-1
-                    a, ra = divmod(target[0], x)
-                    c, rc = divmod(target[2], z)
-                    b, rb = divmod(target[1] - a * y, z)
-                    return () if ra or rb or rc else ((a, b, c),)
-                if any(target):
-                    return None
-                u1, u2 = (x, 0) if x else (y, z)
-                return lambda s: not (s[0] * u1 + s[1] * u2 or s[2] * u2)
-            return (1, 0, 1), gens, step, hit, preimage, "append"
-
-        def step(s, j):
-            a, b, c, d = s
-            e, f, g, h = gens[j]
-            return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+            start = (1, 0, 1)
+        else:
+            def step(s, j):
+                a, b, c, d = s
+                e, f, g, h = gens[j]
+                return (a * e + b * g, a * f + b * h,
+                        c * e + d * g, c * f + d * h)
+            start = (1, 0, 0, 1)
 
         def preimage(j):
-            e, f, g, h = gens[j]
-            det = e * h - f * g
-            if det:  # target * adj(g) / det
-                t11, t12, t21, t22 = target
-                s11, r11 = divmod(t11 * h - t12 * g, det)
-                s12, r12 = divmod(t12 * e - t11 * f, det)
-                s21, r21 = divmod(t21 * h - t22 * g, det)
-                s22, r22 = divmod(t22 * e - t21 * f, det)
-                if r11 or r12 or r21 or r22:
-                    return ()
-                return ((s11, s12, s21, s22),)
+            e, f, g, h = _square(gens[j])
+            if e * h != f * g:  # s*g == target, one row at a time
+                gt, t = (e, g, f, h), _square(target)
+                for r1 in _solve2(gt, t[:2]):
+                    for r2 in _solve2(gt, t[2:]):  # ut: g^T lower, s21 0
+                        return (r1 + r2[1:] if ut else r1 + r2,)
+                return ()
             if any(target):
                 return None
             u1, u2 = (e, g) if e or g else (f, h)
+            if ut:
+                return lambda s: not (s[0] * u1 + s[1] * u2 or s[2] * u2)
             return lambda s: not (s[0] * u1 + s[1] * u2 or
                                   s[2] * u1 + s[3] * u2)
-        return (1, 0, 0, 1), gens, step, hit, preimage, "append"
+        return start, gens, step, hit, preimage, "append"
     if ut:
         def step(v, j):
             v1, v2 = v
@@ -252,13 +251,8 @@ def _action(inst: ProblemInstance):
         hit = target.__eq__
 
         def preimage(j):
-            a, b, c, d = _square(gens[j])
-            det = a * d - b * c
-            if not det:
-                return None
-            v1, r1 = divmod(d * target[0] - b * target[1], det)
-            v2, r2 = divmod(a * target[1] - c * target[0], det)
-            return () if r1 or r2 else ((v1, v2),)
+            g = _square(gens[j])
+            return _solve2(g, target) if g[0] * g[3] != g[1] * g[2] else None
     else:  # scalar or zero reachability
         lam = 0 if p == P.ZERO_REACHABILITY else inst.lam
         y1, y2 = y.v1, y.v2

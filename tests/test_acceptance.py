@@ -13,13 +13,14 @@ from semireach.bridge import GEN_HARD_VARIANTS, gen_hard, subset_sum_dp
 from semireach.cli import dispatch, main, random_instance, replay_instance
 from semireach.core import AffineMap, Mat2, UTMat, Vec2
 from semireach.detpm1 import solve_detpm1
-from semireach.machines import (Bca, digit_guess_value, reach_bca, reach_prm,
-                                reduce_bca_to_arm, sufficient_budget)
+from semireach.machines import (Bca, reach_bca, reach_prm, reduce_bca_to_arm,
+                                sufficient_budget)
 from semireach.machines import PrmBudget
-from semireach.mortality import solve_mortality, stabilizer_basis
+from semireach.mortality import solve_mortality
 from semireach.oracle import oracle_solve, replay
 from semireach.problems import Budget, ProblemInstance, disjunction
 from semireach.utsolvers import reduce_membership_to_scalar
+from test_machines import _guess_registers
 from test_oracle import _reference_action, _reference_search
 
 B8 = Budget(8, 10 ** 6)
@@ -138,18 +139,11 @@ def test_criterion_4_counter_to_register_reduction():
 
 
 def test_criterion_5_guess_value_implications():
-    ok = True
-    for b in range(0, 51):
-        K = 2 * b + 1
-        for i in range(0, b + 1):
-            for c in range(-2 * b, 2 * b + 1):
-                v = digit_guess_value(i, c, K)
-                if i == c:
-                    if v != c:
-                        ok = False
-                elif 0 <= c <= b and -b <= v <= 2 * b:
-                    ok = False
-    _report(5, "digit-guess separation, exhaustive b <= 50", ok)
+    ok = all(len(regs) == B + 1 and
+             all(r == c if i == c else not -B <= r <= 2 * B
+                 for i, r in enumerate(regs))
+             for b in range(51) for B, c, regs in _guess_registers(b))
+    _report(5, "digit-guess separation on the emitted gadget, b <= 50", ok)
 
 
 def test_criterion_6_product_run_correspondence():
@@ -267,33 +261,6 @@ def test_criterion_8_mortality_pipeline():
             ok = False
             break
     _report(8, "mortality solver vs oracle and hardness instances", ok)
-
-
-def test_criterion_9_stabilizer_parametrization():
-    rng = random.Random(49)
-    ok = True
-    for _ in range(200):
-        while True:
-            x = Vec2(rng.randint(-9, 9), rng.randint(-9, 9))
-            if not x.is_zero() and gcd(x.v1, x.v2) == 1:
-                break
-        while True:
-            y = Vec2(rng.randint(-9, 9), rng.randint(-9, 9))
-            if not y.is_zero() and gcd(y.v1, y.v2) == 1:
-                break
-        sb = stabilizer_basis(x, y)
-        seen = set()
-        for k in range(-20, 21):
-            m = sb.at(k)
-            if m.det() != 1 or m.apply(x) != y:
-                ok = False
-            key = (m.m11, m.m12, m.m21, m.m22)
-            if key in seen:
-                ok = False
-            seen.add(key)
-        if not ok:
-            break
-    _report(9, "stabilizer basis sound and injective, 200 pairs", ok)
 
 
 def _agree(a, b):

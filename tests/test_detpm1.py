@@ -35,11 +35,11 @@ def test_value_set_examples():
     g = [UTMat(1, 2, 1)]
     s = value_set(g, 1, 1)
     assert agrees(s, lambda b: b >= 0 and b % 2 == 0, -10, 30)
-    assert value_set(g, -1, -1).is_empty()
+    assert value_set(g, -1, -1).components == ()
 
     neg = [UTMat(-1, 0, -1)]
     assert agrees(value_set(neg, -1, -1), lambda b: b == 0, -10, 10)
-    assert value_set(neg, 1, -1).is_empty()
+    assert value_set(neg, 1, -1).components == ()
 
     assert agrees(value_set([], 1, 1), lambda b: b == 0, -10, 10)
     # (1 3; 0 -1) squares to the identity, so its only product with

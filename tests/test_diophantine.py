@@ -212,7 +212,7 @@ def test_combo_value_set_matches_pointwise_query():
 
 def test_combo_value_set_edge_cases():
     assert combo_value_set([], None, 0).member(0)
-    assert combo_value_set([], None, 1).is_empty()
+    assert combo_value_set([], None, 1).components == ()
     assert combo_value_set([0], [True], 1).member(0)
     s = combo_value_set([2, -3])
     assert all(s.member(t) for t in range(-20, 20))
@@ -319,7 +319,7 @@ def test_one_residue_table_per_query(monkeypatch):
     monkeypatch.setattr(diophantine, "_residue_minima", counted)
     # a parity-1 query with nothing flagged fails before any table
     assert nonneg_combination([4, 6], 10, [False, False], 1) is None
-    assert combo_value_set([4, 6], None, 1).is_empty()
+    assert combo_value_set([4, 6], None, 1).components == ()
     assert builds == []
     # both parities come from one table
     s = combo_value_set([4, 6], [True, False])

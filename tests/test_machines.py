@@ -8,9 +8,9 @@ import time
 import pytest
 
 from semireach.machines import (Bca, Prm, PrmBudget, ReductionParams,
-                                _monotone_bounds, digit_guess_value,
-                                poly_eval, reach_bca, reach_prm,
-                                reduce_bca_to_arm, sufficient_budget)
+                                _monotone_bounds, poly_eval, reach_bca,
+                                reach_prm, reduce_bca_to_arm,
+                                sufficient_budget)
 from semireach.problems import no, unknown, yes
 
 INF = float("inf")
@@ -431,17 +431,40 @@ def test_reduction_params():
         ReductionParams.for_bound(-1)
 
 
+def _guess_registers(b: int):
+    """(B, c, registers) for each counter c in [0, B] of the
+    one-transition automaton of bound b, B its padded bound: registers[i]
+    is the register after reduce_bca_to_arm's @guess:0:k chain under
+    guess i, where bit k of i takes the edge out of @guess:0:k that
+    adds a constant."""
+    red = reduce_bca_to_arm(Bca(("p", "q"), b, (("p", b, "q"),)),
+                            ("p", 0), ("q", b))
+    polys = {}
+    for s, d, p in red.machine.transitions:
+        polys.setdefault((s, d), []).append(p)
+    chain = ["p"] + [f"@guess:0:{k}" for k in range(red.params.j + 1)]
+    (enter,) = polys[chain[0], chain[1]]
+    stages = [sorted(polys[s, d], key=lambda p: p[0] != 0)
+              for s, d in zip(chain[1:], chain[2:])]
+    for c in range(red.params.B + 1):
+        regs = [poly_eval(enter, c)]
+        for keep, guess in stages:
+            regs = [poly_eval(p, r) for p in (keep, guess) for r in regs]
+        yield red.params.B, c, regs
+
+
 def test_digit_guess_value_separation():
-    # right guess keeps the counter; any wrong guess leaves [-b, 2b]
-    assert digit_guess_value(1, 2, 5) == 7
-    for b in range(1, 30):
-        K = 2 * b + 1
-        for c in range(0, b + 1):
-            assert digit_guess_value(c, c, K) == c
-            for i in range(0, b + 1):
-                if i != c:
-                    v = digit_guess_value(i, c, K)
-                    assert not -b <= v <= 2 * b, (b, i, c)
+    # the emitted gadget keeps the counter c only under the guess c; any
+    # other guess leaves [-B, 2B]
+    assert list(_guess_registers(2))[2] == (3, 2, [16, 9, 2, -5])
+    for b in range(51):
+        for B, c, regs in _guess_registers(b):
+            assert len(regs) == B + 1
+            for i, r in enumerate(regs):
+                if i == c:
+                    assert r == c, (b, c)
+                else:
+                    assert not -B <= r <= 2 * B, (b, c, i, r)
 
 
 def _random_bca(rng):

@@ -10,7 +10,7 @@ import pytest
 from semireach import problems as P
 from semireach.cli import random_instance
 from semireach.core import AffineMap, Mat2, UTMat, Vec2
-from semireach.oracle import oracle_solve, replay
+from semireach.oracle import _solve2, oracle_solve, replay
 from semireach.problems import Budget, ProblemInstance, no, unknown, yes
 
 B = Budget(8, 10 ** 6)
@@ -391,6 +391,74 @@ def test_last_level_preimages():
         else:
             assert got.witness == want and len(want) == max_len, inst
             assert replay(inst, want)
+
+
+def _fraction_solve(m, t):
+    """v with m*v == t by Gaussian elimination over the rationals."""
+    r0 = [Fraction(m[0]), Fraction(m[1]), Fraction(t[0])]
+    r1 = [Fraction(m[2]), Fraction(m[3]), Fraction(t[1])]
+    if not r0[0]:
+        r0, r1 = r1, r0
+    f = r1[0] / r0[0]
+    r1 = [y - f * x for x, y in zip(r0, r1)]
+    v2 = r1[2] / r1[1]
+    return (r0[2] - r0[1] * v2) / r0[0], v2
+
+
+def test_solve2_matches_fraction_solve():
+    rng = random.Random(71)
+    seen = Counter()
+    while len(seen) < 6 or min(seen.values()) < 50:
+        m = tuple(rng.randint(-5, 5) for _ in range(4))
+        det = m[0] * m[3] - m[1] * m[2]
+        if not det:
+            continue
+        if rng.random() < 0.5:  # a right-hand side with an integral v
+            v = (rng.randint(-9, 9), rng.randint(-9, 9))
+            t = (m[0] * v[0] + m[1] * v[1], m[2] * v[0] + m[3] * v[1])
+        else:
+            t = (rng.randint(-40, 40), rng.randint(-40, 40))
+        want = _fraction_solve(m, t)
+        integral = all(w.denominator == 1 for w in want)
+        assert _solve2(m, t) == \
+            ((tuple(map(int, want)),) if integral else ()), (m, t)
+        seen[(max(-2, min(det, 2)), integral)] += 1
+    # det 1 and -1 always divide
+    assert set(seen) == {(d, True) for d in (-2, -1, 1, 2)} | \
+        {(-2, False), (2, False)}
+
+
+def test_upper_triangular_states_match_general_states():
+    # an upper-triangular membership or mortality set read as general
+    # matrices searches the same products with a zero lower-left entry,
+    # and the last level solves s*g == target on both state kinds
+    rng = random.Random(73)
+    diag = (-2, -1, 0, 1, 2, 3)
+    seen = Counter()
+    for i in range(240):
+        gens = [UTMat(rng.choice(diag), rng.randint(-3, 3), rng.choice(diag))
+                for _ in range(rng.randint(1, 3))]
+        general = [g.to_mat2() for g in gens]
+        if i % 3 == 0:
+            pair = (ProblemInstance(P.MORTALITY, gens),
+                    ProblemInstance(P.MORTALITY, general))
+        else:
+            t = UTMat.identity()
+            for _ in range(rng.randint(1, 6)):
+                t = t * rng.choice(gens)
+            if i % 3 == 2:
+                t = UTMat(t.a, t.b + rng.choice((-1, 1)), t.c)
+            pair = (ProblemInstance(P.MATRIX_MEMBERSHIP, gens, target=t),
+                    ProblemInstance(P.MATRIX_MEMBERSHIP, general,
+                                    target=t.to_mat2()))
+        for cap in (None, 12):
+            for max_len in range(1, 7):
+                budget = Budget(max_len, cap)
+                ut, sq = (oracle_solve(inst, budget) for inst in pair)
+                assert (ut.kind, ut.certificate, ut.witness) == \
+                    (sq.kind, sq.certificate, sq.witness), (pair[0], budget)
+                seen[ut.kind] += 1
+    assert set(seen) == {"yes", "no", "unknown"}
 
 
 def test_rational_states_match_fraction_reference():
