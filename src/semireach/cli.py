@@ -679,7 +679,8 @@ def xcheck(count, seed, family, max_len, max_magnitude, max_steps):
         for idx in range(count):
             inst = random_instance(rng, family)
             verdict, used = dispatch(inst, "auto", budget, prm)
-            oracle = oracle_solve(inst, budget)
+            oracle = verdict if used == "oracle" else \
+                oracle_solve(inst, budget)
             if verdict.is_yes and replay_instance(inst, verdict.witness) \
                     is not None:
                 report["bad-witnesses"] += 1

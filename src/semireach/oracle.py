@@ -6,12 +6,15 @@ shortest first, ties broken by lexicographically least index sequence.
 Every search state is an int tuple: matrix entries, a vector, or a
 rational (num, den) in lowest terms with den > 0.  Integer affine maps
 x -> a*x + b act as their matrices (a b; 0 1) through encode_affine, so
-their states are (a, b, 1) and (x, 1).
+their states are (a, b, 1) and (x, 1).  Membership and vector
+reachability over upper-triangular matrices skip the states whose
+diagonal no product of generators carries to the target's.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import gcd
 
@@ -29,7 +32,7 @@ def _pairs(frontier, js, mode: str):
 
 
 def _search(start, gens, step, hit, preimage, budget: Budget,
-            mode: str) -> Verdict:
+            mode: str, alive=None) -> Verdict:
     """Canonical-witness BFS.
 
     mode "append": step j extends the witness on the right (matrix states).
@@ -47,10 +50,22 @@ def _search(start, gens, step, hit, preimage, budget: Budget,
     Yes a level earlier.  The first hit in witness order wins: (frontier
     position, j) in append mode, (j, frontier position) in prepend mode.
     Without a hit, the answer is No by saturation only when nothing was
-    pruned and no candidate is new to parent.
+    pruned and no live candidate is new to parent.
+
+    alive(start) (see _action) is called once, and gives a test that a
+    state can still reach the hit set, or None when every state is
+    live.  A dead candidate is dropped before the cap test: it is never
+    stored, never counts as pruned and is never new to parent at the
+    last level.  A dead start is No at once.  Every state on a witness
+    is live, so Yes answers and their witnesses are as without the test,
+    and a No means that the live reachable set closed without a hit,
+    which holds at every length.
     """
     if hit(start):
         return yes(())
+    live = alive(start) if alive else None
+    if live and not live(start):
+        return no("saturation")
     cap = budget.max_entry
     js = range(len(gens))
     parent = {start: None}
@@ -60,7 +75,7 @@ def _search(start, gens, step, hit, preimage, budget: Budget,
         nxt = []
         for s, j in _pairs(frontier, js, mode):
             t = step(s, j)
-            if t in parent:
+            if t in parent or live and not live(t):
                 continue
             if cap is not None and max(map(abs, t)) > cap:
                 pruned = True
@@ -98,7 +113,8 @@ def _search(start, gens, step, hit, preimage, budget: Budget,
         return yes(_word(parent, t, step, js, mode))
     if not pruned:
         for s, j in product(frontier, js):
-            if step(s, j) not in parent:
+            t = step(s, j)
+            if t not in parent and (not live or live(t)):
                 break
         else:
             return no("saturation")
@@ -153,11 +169,70 @@ def _solve2(m: tuple, t: tuple) -> tuple:
     return () if r1 or r2 else ((v1, v2),)
 
 
+def _diagonal_test(gens, target, pos, start):
+    """The liveness test of an upper-triangular search, or None when it
+    does not apply (a generator or the target has a nonzero lower-left
+    entry, or the target is 0 at every position in pos) or when every
+    state that start reaches is live.
+
+    On upper-triangular products the diagonal multiplies entry by entry,
+    so a state s reaches the target only if, at each position p in pos
+    where target[p] != 0, s[p] divides target[p], and these quotients
+    together are the entries at pos of some product of generators.  The
+    set of those products, lattice, is built here, breadth first from
+    the identity over divisors of the target: a prefix of a word divides
+    the word, so no divisor is missed.  Positions index generators,
+    states and target alike: (0, -1) is the diagonal of (a, b, c) and
+    (m11, m12, m21, m22) tuples, and -1 the second entry of a vector.
+    """
+    pos = [p for p in pos if target[p]]
+    if not pos or any(len(g) == 4 and g[2] for g in (*gens, target)):
+        return None
+    # pairs throughout; a lone position gets a second one that is 1
+    # everywhere
+    p, q = pos if len(pos) == 2 else (pos[0], None)
+    wp, wq = target[p], 1 if q is None else target[q]
+    factors = {(g[p], 1 if q is None else g[q]) for g in gens}
+    lattice = {(1, 1)}
+    frontier = [(1, 1)]
+    while frontier:
+        nxt = []
+        for x, y in frontier:
+            for u, v in factors:
+                d = (x * u, y * v)
+                if d not in lattice and d[0] and d[1] and \
+                        not (wp % d[0] or wq % d[1]):
+                    lattice.add(d)
+                    nxt.append(d)
+        frontier = nxt
+    if q is None:
+        firsts = {x for x, _ in lattice}
+
+        def live(s) -> bool:
+            return bool(s[p]) and not wp % s[p] and wp // s[p] in firsts
+    else:
+        def live(s) -> bool:
+            x, y = s[p], s[q]
+            return bool(x and y) and not (wp % x or wq % y) and \
+                (wp // x, wq // y) in lattice
+    # unit factors: their products form a group, so a state's quotient
+    # is in it exactly when the start's is
+    if live(start) and all(u in (1, -1) and v in (1, -1)
+                           for u, v in factors):
+        return None
+    return live
+
+
 def _action(inst: ProblemInstance):
-    """(start, generators, step, hit, preimage, mode) of the monoid action
-    that decides inst: step(s, j) moves state s by generator j, hit says
-    whether a state answers the question, and mode says which side of
-    the witness a step adds to (see _search).
+    """(start, generators, step, hit, preimage, mode, alive) of the
+    monoid action that decides inst: step(s, j) moves state s by
+    generator j, hit says whether a state answers the question, and mode
+    says which side of the witness a step adds to (see _search).
+
+    alive(start) gives _diagonal_test's liveness test for matrix
+    membership and vector reachability over upper-triangular generators
+    (and target), or None.  Like preimage, it is only built when _search
+    calls it, so replay does not pay for the lattice.
 
     preimage(j) tells _search's last level which states generator j, g,
     moves into the hit set:
@@ -192,7 +267,7 @@ def _action(inst: ProblemInstance):
             g = gcd(n, d) if d > 0 else -gcd(n, d)
             return ((n // g, d // g),)
         return (Fraction(inst.x).as_integer_ratio(), maps, step,
-                target.__eq__, preimage, "prepend")
+                target.__eq__, preimage, "prepend", None)
     # matrices in one common kind: (a, b, c) when all are upper
     # triangular, else (m11, m12, m21, m22)
     ut = all(isinstance(m, UTMat) for m in inst.generators) and \
@@ -204,6 +279,8 @@ def _action(inst: ProblemInstance):
         else:
             target = _entries(inst.target, ut)
         hit = target.__eq__
+        alive = None if p == P.MORTALITY else \
+            partial(_diagonal_test, gens, target, (0, -1))
         if ut:
             def step(s, j):
                 a, b, c = s
@@ -234,7 +311,7 @@ def _action(inst: ProblemInstance):
                 return lambda s: not (s[0] * u1 + s[1] * u2 or s[2] * u2)
             return lambda s: not (s[0] * u1 + s[1] * u2 or
                                   s[2] * u1 + s[3] * u2)
-        return start, gens, step, hit, preimage, "append"
+        return start, gens, step, hit, preimage, "append", alive
     if ut:
         def step(v, j):
             v1, v2 = v
@@ -246,9 +323,11 @@ def _action(inst: ProblemInstance):
             a, b, c, d = gens[j]
             return (a * v1 + b * v2, c * v1 + d * v2)
     x, y = inst.x, inst.y
+    alive = None
     if p == P.VECTOR_REACHABILITY:
         target = (y.v1, y.v2)
         hit = target.__eq__
+        alive = partial(_diagonal_test, gens, target, (-1,))
 
         def preimage(j):
             g = _square(gens[j])
@@ -264,7 +343,7 @@ def _action(inst: ProblemInstance):
             a, b, c, d = _square(gens[j])
             w1, w2 = y1 * a + y2 * c, y1 * b + y2 * d
             return lambda v: w1 * v[0] + w2 * v[1] == lam
-    return (x.v1, x.v2), gens, step, hit, preimage, "prepend"
+    return (x.v1, x.v2), gens, step, hit, preimage, "prepend", alive
 
 
 def oracle_solve(inst: ProblemInstance, budget: Budget) -> Verdict:
@@ -273,15 +352,18 @@ def oracle_solve(inst: ProblemInstance, budget: Budget) -> Verdict:
     Yes comes with a canonical witness.  No is only issued when the
     deduplicated reachable set saturated within the budget (depth
     max_len adds nothing new) with no magnitude pruning; everything else
-    is Unknown.
+    is Unknown.  For membership and vector reachability over
+    upper-triangular matrices the set is that of live states, whose
+    diagonal can still reach the target's (see _diagonal_test), so a
+    No there says that no product of any length reaches the target.
     """
-    start, gens, step, hit, preimage, mode = _action(inst)
-    return _search(start, gens, step, hit, preimage, budget, mode)
+    start, gens, step, hit, preimage, mode, alive = _action(inst)
+    return _search(start, gens, step, hit, preimage, budget, mode, alive)
 
 
 def replay(inst: ProblemInstance, witness) -> bool:
     """Check that a witness replays exactly to the claimed fact."""
-    start, gens, step, hit, _, mode = _action(inst)
+    start, gens, step, hit, _, mode, _ = _action(inst)
     idx = list(witness)
     if any(not 0 <= i < len(gens) for i in idx):
         return False

@@ -292,8 +292,8 @@ def test_criterion_10_reduction_equivalences():
         else:
             inst = ProblemInstance(kind, gens, x=rng.randint(-3, 3),
                                    y=rng.randint(-5, 5))
-        start, maps, step, hit, mode = _reference_action(inst)
-        want = _reference_search(start, maps, step, hit, small, mode)
+        start, maps, step, hit, mode, live = _reference_action(inst)
+        want = _reference_search(start, maps, step, hit, small, mode, live)
         got = oracle_solve(inst, small)
         if (got.kind, got.certificate, got.witness) != \
                 (want.kind, want.certificate, want.witness):

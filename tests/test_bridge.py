@@ -77,8 +77,8 @@ def test_encode_preserves_oracle_answer():
         else:
             inst = ProblemInstance(kind, gens, x=rng.randint(-3, 3),
                                    y=rng.randint(-5, 5))
-        start, maps, step, hit, mode = _reference_action(inst)
-        want = _reference_search(start, maps, step, hit, budget, mode)
+        start, maps, step, hit, mode, live = _reference_action(inst)
+        want = _reference_search(start, maps, step, hit, budget, mode, live)
         got = oracle_solve(inst, budget)
         assert (got.kind, got.certificate, got.witness) == \
             (want.kind, want.certificate, want.witness), inst

@@ -639,6 +639,47 @@ def test_flip_keeps_verdicts():
     assert pairs > 600
 
 
+def test_oracle_route_answers_as_oracle_solve():
+    # xcheck takes an oracle-routed verdict as the oracle's own, so
+    # through _rewrite's encodings (integer affine maps, upper-triangular
+    # mortality) it must be oracle_solve's on the instance as given, in
+    # kind, certificate and witness
+    budget, prm = Budget(6, 10 ** 4), PrmBudget(1024, 10 ** 6)
+    rng = random.Random(17)
+    families = ("detpm1", "detminus1", "utvec", "utmember", "mortality",
+                "random")
+    routed = set()
+    for i in range(900):
+        inst = random_instance(rng, families[i % len(families)])
+        gens = [UTMat(*(rng.randint(-3, 3) for _ in range(3)))
+                for _ in range(rng.randint(1, 3))]
+        maps = [AffineMap(rng.randint(-3, 3), rng.randint(-3, 3))
+                for _ in range(rng.randint(1, 3))]
+        runs = [(inst, "auto"), (inst, "oracle"),
+                (ProblemInstance(P.MORTALITY, gens), "oracle"),
+                (ProblemInstance(P.AFFINE_MEMBERSHIP_Z, maps,
+                                 target=AffineMap(rng.randint(-4, 4),
+                                                  rng.randint(-4, 4))),
+                 "oracle"),
+                (ProblemInstance(P.AFFINE_REACHABILITY_Z, maps,
+                                 x=rng.randint(-3, 3),
+                                 y=rng.randint(-9, 9)), "oracle")]
+        for one, solver in runs:
+            v, used = dispatch(one, solver, budget, prm)
+            if used != "oracle":
+                continue
+            want = oracle_solve(one, budget)
+            assert (v.kind, v.certificate, v.witness) == \
+                (want.kind, want.certificate, want.witness), one
+            routed.add((one.problem, solver, v.kind))
+    # every tag the random families and the encodings make, under auto
+    # and named, with every kind of answer
+    assert {p for p, _, _ in routed} == P.PROBLEM_TAGS - \
+        {P.AFFINE_REACHABILITY_Q}
+    assert {(s, k) for _, s, k in routed} == \
+        {(s, k) for s in ("auto", "oracle") for k in ("yes", "no", "unknown")}
+
+
 def test_solve_exit_codes_match_documents(tmp_path):
     # exit 0 only with a "yes" that verify accepts, 1 only with "no" and
     # 2 only with "unknown"; short --max-len makes all three common

@@ -10,7 +10,7 @@ import pytest
 from semireach import problems as P
 from semireach.cli import random_instance
 from semireach.core import AffineMap, Mat2, UTMat, Vec2
-from semireach.oracle import _solve2, oracle_solve, replay
+from semireach.oracle import _action, _solve2, oracle_solve, replay
 from semireach.problems import Budget, ProblemInstance, no, unknown, yes
 
 B = Budget(8, 10 ** 6)
@@ -156,9 +156,43 @@ def _reference_magnitude(state) -> int:
     return abs(state)
 
 
-def _reference_search(start, gens, step, hit, budget, mode):
+def _reference_live(factors, want, diag):
+    """The liveness rule over objects, or None when it constrains
+    nothing.  diag(s) is the tuple of a state's entries that products
+    multiply one by one, factors the generators' tuples and want the
+    target's.  A state is live when, wherever want is nonzero, the
+    state's entry divides it, and the quotients together are the
+    entries of a product of factors."""
+    keep = [i for i, t in enumerate(want) if t]
+    if not keep:
+        return None
+
+    def divides(d) -> bool:
+        return all(d[k] and Fraction(want[i], d[k]).denominator == 1
+                   for k, i in enumerate(keep))
+
+    def quotient(s):
+        d = tuple(diag(s)[i] for i in keep)
+        return tuple(want[i] // x for x, i in zip(d, keep)) \
+            if divides(d) else None
+
+    # a factor of a product that divides the target divides it too, so
+    # products through non-divisors never come back
+    products = {(1,) * len(keep)}
+    while True:
+        more = {tuple(x * f[i] for x, i in zip(d, keep))
+                for d in products for f in factors} - products
+        more = set(filter(divides, more))
+        if not more:
+            return lambda s: quotient(s) in products
+        products |= more
+
+
+def _reference_search(start, gens, step, hit, budget, mode, live=None):
     if hit(start):
         return yes(())
+    if live and not live(start):
+        return no("saturation")
     visited = {start}
     frontier = [((), start)]
     pruned = False
@@ -173,7 +207,7 @@ def _reference_search(start, gens, step, hit, budget, mode):
                      for (w, s) in frontier)
         for w, s, j in pairs:
             t = step(s, j)
-            if t in visited or t in seen_here:
+            if t in visited or t in seen_here or live and not live(t):
                 continue
             if budget.max_entry is not None and \
                     _reference_magnitude(t) > budget.max_entry:
@@ -191,6 +225,14 @@ def _reference_search(start, gens, step, hit, budget, mode):
     return unknown()
 
 
+def _diagonal(m):
+    return (m.a, m.c) if isinstance(m, UTMat) else (m.m11, m.m22)
+
+
+def _triangular(mats) -> bool:
+    return all(isinstance(m, UTMat) or not m.m21 for m in mats)
+
+
 def _reference_action(inst):
     p = inst.problem
     gens = list(inst.generators)
@@ -205,12 +247,19 @@ def _reference_action(inst):
                 if isinstance(inst.target, UTMat) else inst.target
         hit = (lambda s: s.is_zero()) if p == P.MORTALITY \
             else (lambda s: s == target)
-        return ident, gens, lambda s, j: s * gens[j], hit, "append"
+        live = _reference_live(list(map(_diagonal, gens)),
+                               _diagonal(target), _diagonal) \
+            if p == P.MATRIX_MEMBERSHIP and _triangular(gens + [target]) \
+            else None
+        return ident, gens, lambda s, j: s * gens[j], hit, "append", live
     if p == P.AFFINE_MEMBERSHIP_Z:
         return (AffineMap.make(1, 0, 1, "Z"), gens,
                 lambda s, j: s.compose(gens[j]),
-                lambda s: s == inst.target, "append")
+                lambda s: s == inst.target, "append",
+                _reference_live([(f.a,) for f in gens], (inst.target.a,),
+                                lambda f: (f.a,)))
     start, y = inst.x, inst.y
+    live = None
     if p in (P.SCALAR_REACHABILITY, P.ZERO_REACHABILITY):
         lam = 0 if p == P.ZERO_REACHABILITY else inst.lam
 
@@ -219,10 +268,14 @@ def _reference_action(inst):
     else:
         if p == P.AFFINE_REACHABILITY_Q:
             start, y = Fraction(start), Fraction(y)
+        elif p == P.VECTOR_REACHABILITY and _triangular(gens):
+            live = _reference_live([_diagonal(g)[1:] for g in gens],
+                                   (y.v2,), lambda v: (v.v2,))
+        # integer affine reachability runs over (x, 1): every state is live
 
         def hit(s):
             return s == y
-    return start, gens, lambda s, j: gens[j].apply(s), hit, "prepend"
+    return start, gens, lambda s, j: gens[j].apply(s), hit, "prepend", live
 
 
 def _reference_instance(rng, i):
@@ -276,8 +329,8 @@ def test_search_matches_object_reference():
     for i in range(1000):
         inst = _reference_instance(rng, i)
         budget = budgets[i % len(budgets)]
-        start, gens, step, hit, mode = _reference_action(inst)
-        want = _reference_search(start, gens, step, hit, budget, mode)
+        start, gens, step, hit, mode, live = _reference_action(inst)
+        want = _reference_search(start, gens, step, hit, budget, mode, live)
         got = oracle_solve(inst, budget)
         assert (got.kind, got.certificate, got.witness) == \
             (want.kind, want.certificate, want.witness), (inst, budget)
@@ -295,12 +348,12 @@ def test_search_matches_reference_at_every_depth():
     rng = random.Random(6)
     instances = [_reference_instance(rng, i) for i in range(600)]
     for inst in instances:
-        start, gens, step, hit, mode = _reference_action(inst)
+        start, gens, step, hit, mode, live = _reference_action(inst)
         for cap in (None, 12, 10 ** 6):
             for max_len in range(1, 7):
                 budget = Budget(max_len, cap)
                 want = _reference_search(start, gens, step, hit, budget,
-                                         mode)
+                                         mode, live)
                 got = oracle_solve(inst, budget)
                 assert (got.kind, got.certificate, got.witness) == \
                     (want.kind, want.certificate, want.witness), \
@@ -337,9 +390,10 @@ def test_last_level_preimages():
         (ProblemInstance(P.AFFINE_MEMBERSHIP_Z,
                          (AffineMap(2, 1), AffineMap(1, 3)),
                          target=AffineMap(4, 9)), 3, None, (0, 1, 0)),
-        # preimages that are not integral: 3/2 alone, then beside a hit
-        # by the other generator
-        (member((u(2, 0, 1),), u(3, 0, 1)), 2, None, None),
+        # preimages that are not integral: 3/2 alone (on a zero
+        # diagonal, so every state stays live), then beside a hit by the
+        # other generator
+        (member((u(1, 0, 2),), u(0, 3, 0)), 2, None, None),
         (vector((m(2, 0, 0, 1), m(1, 1, 0, 1)), (1, 1), (3, 1)), 2, None,
          (1, 0)),
         # singular generators hitting: the rank-1 test for general
@@ -381,8 +435,8 @@ def test_last_level_preimages():
         cases.append((inst, 2, None, (0, 1)))
     for inst, max_len, cap, want in cases:
         budget = Budget(max_len, cap)
-        start, gens, step, hit, mode = _reference_action(inst)
-        ref = _reference_search(start, gens, step, hit, budget, mode)
+        start, gens, step, hit, mode, live = _reference_action(inst)
+        ref = _reference_search(start, gens, step, hit, budget, mode, live)
         got = oracle_solve(inst, budget)
         assert (got.kind, got.certificate, got.witness) == \
             (ref.kind, ref.certificate, ref.witness), (inst, budget)
@@ -391,6 +445,96 @@ def test_last_level_preimages():
         else:
             assert got.witness == want and len(want) == max_len, inst
             assert replay(inst, want)
+
+
+def _triangular_instance(rng, i):
+    """Instance i of a seeded stream over the shapes the liveness test
+    covers: membership of upper-triangular and of general matrices with
+    a zero lower-left entry, vector reachability under either, and
+    integer affine membership and reachability.  Targets are products of the
+    generators, then some entries are redrawn, often to 0."""
+    kind = ("member", "general", "vector", P.AFFINE_MEMBERSHIP_Z,
+            P.AFFINE_REACHABILITY_Z)[i % 5]
+    n = rng.randint(1, 3)
+
+    def entry():
+        return rng.randint(-3, 3)
+    if kind == P.AFFINE_MEMBERSHIP_Z:
+        gens = [AffineMap(entry(), entry()) for _ in range(n)]
+        t = AffineMap(1, 0)
+        for _ in range(rng.randint(0, 5)):
+            t = t.compose(rng.choice(gens))
+        if rng.random() < 0.5:
+            t = AffineMap(rng.choice((0, entry(), t.a)), t.b + entry())
+        return ProblemInstance(kind, gens, target=t)
+    if kind == P.AFFINE_REACHABILITY_Z:
+        gens = [AffineMap(entry(), entry()) for _ in range(n)]
+        return ProblemInstance(kind, gens, x=entry(), y=rng.randint(-9, 9))
+    gens = [UTMat(entry(), entry(), entry()) for _ in range(n)]
+    t = UTMat.identity()
+    for _ in range(rng.randint(0, 5)):
+        t = t * rng.choice(gens)
+    if rng.random() < 0.6:
+        t = UTMat(rng.choice((0, entry(), t.a)), t.b + entry(),
+                  rng.choice((0, entry(), t.c)))
+    if kind == "vector":
+        x = Vec2(entry(), entry())
+        y = t.apply(x)
+        if rng.random() < 0.3:
+            gens = [g.to_mat2() for g in gens]
+        return ProblemInstance(P.VECTOR_REACHABILITY, gens, x=x,
+                               y=Vec2(y.v1 + entry(),
+                                      rng.choice((0, entry(), y.v2))))
+    if kind == "general":
+        gens, t = [g.to_mat2() for g in gens], t.to_mat2()
+    return ProblemInstance(P.MATRIX_MEMBERSHIP, gens, target=t)
+
+
+def _hit_within(inst, depth: int) -> bool:
+    """Whether some word of length at most depth hits: every state of
+    the action, level by level, with no cap and no liveness test."""
+    start, gens, step, hit = _action(inst)[:4]
+    seen = level = {start}
+    for _ in range(depth):
+        if any(map(hit, level)):
+            return True
+        level = {step(s, j) for s in level for j in range(len(gens))} - seen
+        seen = seen | level
+    return any(map(hit, level))
+
+
+def test_dead_states_only_turn_unknowns_into_sound_nos():
+    # the oracle drops states whose diagonal no product of generators
+    # carries to the target's.  Against the search without that test:
+    # its Yes witnesses and its Nos stay, and every No the oracle gives
+    # is confirmed by an uncapped search to depth 10.  The verdict is
+    # the one the reference's own liveness rule gives
+    rng = random.Random(29)
+    budgets = (Budget(4, None), Budget(6, 20))
+    seen = Counter()
+    for i in range(400):
+        inst = _triangular_instance(rng, i)
+        budget = budgets[i % len(budgets)]
+        start, gens, step, hit, mode, live = _reference_action(inst)
+        want = _reference_search(start, gens, step, hit, budget, mode)
+        got = oracle_solve(inst, budget)
+        ref = _reference_search(start, gens, step, hit, budget, mode, live)
+        assert (got.kind, got.certificate, got.witness) == \
+            (ref.kind, ref.certificate, ref.witness), (inst, budget)
+        if want.definitive:
+            assert (got.kind, got.certificate, got.witness) == \
+                (want.kind, want.certificate, want.witness), (inst, budget)
+        if got.is_no:
+            assert not _hit_within(inst, 10), (inst, budget)
+        seen[inst.problem, want.kind, got.kind] += 1
+    # every shape gives new Nos, and the unpruned search's answers of
+    # every kind are met
+    for p in (P.MATRIX_MEMBERSHIP, P.VECTOR_REACHABILITY,
+              P.AFFINE_MEMBERSHIP_Z):
+        assert seen[p, "unknown", "no"] > 5, seen
+    assert {(w, g) for _, w, g in seen} == \
+        {("yes", "yes"), ("no", "no"), ("unknown", "unknown"),
+         ("unknown", "no")}
 
 
 def _fraction_solve(m, t):
@@ -478,10 +622,10 @@ def test_rational_states_match_fraction_reference():
             for y in (0, 1, -1, Fraction(1, 2), Fraction(-1, 4), 2):
                 inst = ProblemInstance(P.AFFINE_REACHABILITY_Q, gens,
                                        x=Fraction(x), y=Fraction(y))
-                start, maps, step, hit, mode = _reference_action(inst)
+                start, maps, step, hit, mode, live = _reference_action(inst)
                 for budget in budgets:
                     want = _reference_search(start, maps, step, hit, budget,
-                                             mode)
+                                             mode, live)
                     got = oracle_solve(inst, budget)
                     assert (got.kind, got.certificate, got.witness) == \
                         (want.kind, want.certificate, want.witness), \
